@@ -95,7 +95,7 @@ def floating_delay(
     roots = list(roots)
     manager = BddManager(budget=budget)
     expander = TimedExpander(circuit, delays, manager, budget=budget)
-    instance_map = collect_leaf_instances(circuit, delays, roots, budget=budget)
+    instance_map = {root: expander.leaf_instances(root) for root in roots}
     per_root: dict[str, Fraction] = {}
     comparisons = 0
     for root in roots:

@@ -26,7 +26,9 @@ from repro.bdd import BddManager
 from repro.errors import Budget
 from repro.logic.delays import DelayMap
 from repro.logic.netlist import Circuit
-from repro.timed.expansion import LeafInstance, TimedExpander, collect_leaf_instances
+# ``collect_leaf_instances`` stays importable from this module for
+# callers and tools that look it up here.
+from repro.timed.expansion import LeafInstance, TimedExpander, collect_leaf_instances  # noqa: F401
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +98,7 @@ def transition_delay(
     roots = list(roots)
     manager = BddManager(budget=budget)
     expander = TimedExpander(circuit, delays, manager, budget=budget)
-    instance_map = collect_leaf_instances(circuit, delays, roots, budget=budget)
+    instance_map = {root: expander.leaf_instances(root) for root in roots}
     per_root: dict[str, Fraction] = {}
     comparisons = 0
     for root in roots:

@@ -108,36 +108,43 @@ def eval_gate(gtype: GateType, inputs: Sequence[bool]) -> bool:
     raise CircuitError(f"unhandled gate type {gtype}")  # pragma: no cover
 
 
+def _xor_bdd(manager, inputs: Sequence):
+    acc = manager.false
+    for f in inputs:
+        acc = acc ^ f
+    return acc
+
+
+#: Unchecked BDD builders, one per gate type: ``builder(manager, inputs)``.
+_BDD_BUILDERS = {
+    GateType.AND: lambda manager, inputs: manager.conjoin(inputs),
+    GateType.OR: lambda manager, inputs: manager.disjoin(inputs),
+    GateType.NAND: lambda manager, inputs: ~manager.conjoin(inputs),
+    GateType.NOR: lambda manager, inputs: ~manager.disjoin(inputs),
+    GateType.XOR: _xor_bdd,
+    GateType.XNOR: lambda manager, inputs: ~_xor_bdd(manager, inputs),
+    GateType.NOT: lambda manager, inputs: ~inputs[0],
+    GateType.BUF: lambda manager, inputs: inputs[0],
+    GateType.CONST0: lambda manager, inputs: manager.false,
+    GateType.CONST1: lambda manager, inputs: manager.true,
+}
+
+
+def gate_bdd_builder(gtype: GateType, n_inputs: int):
+    """The BDD builder of a gate with ``n_inputs`` operands.
+
+    The arity is checked here, once; the returned
+    ``builder(manager, inputs)`` trusts its caller to pass exactly
+    ``n_inputs`` operands.  Compiled timed cones resolve every gate
+    this way at compile time.
+    """
+    gtype.check_arity(n_inputs)
+    return _BDD_BUILDERS[gtype]
+
+
 def gate_bdd(gtype: GateType, manager, inputs: Sequence):
     """Build the gate function over BDD operand functions.
 
     ``inputs`` are :class:`repro.bdd.Function` objects from ``manager``.
     """
-    gtype.check_arity(len(inputs))
-    if gtype is GateType.AND:
-        return manager.conjoin(inputs)
-    if gtype is GateType.OR:
-        return manager.disjoin(inputs)
-    if gtype is GateType.NAND:
-        return ~manager.conjoin(inputs)
-    if gtype is GateType.NOR:
-        return ~manager.disjoin(inputs)
-    if gtype is GateType.XOR:
-        acc = manager.false
-        for f in inputs:
-            acc = acc ^ f
-        return acc
-    if gtype is GateType.XNOR:
-        acc = manager.false
-        for f in inputs:
-            acc = acc ^ f
-        return ~acc
-    if gtype is GateType.NOT:
-        return ~inputs[0]
-    if gtype is GateType.BUF:
-        return inputs[0]
-    if gtype is GateType.CONST0:
-        return manager.false
-    if gtype is GateType.CONST1:
-        return manager.true
-    raise CircuitError(f"unhandled gate type {gtype}")  # pragma: no cover
+    return gate_bdd_builder(gtype, len(inputs))(manager, inputs)

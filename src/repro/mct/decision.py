@@ -120,6 +120,8 @@ class DecisionContext:
         self._steady_history: list[dict[str, Function]] = []  # index = n
         self._care_cache: dict[int, Function] = {}
         self._outcomes: dict[frozenset, DecisionOutcome] = {}
+        #: ``fold`` is τ-independent: one TimedLeaf per (instance, phase).
+        self._folded: dict[tuple, TimedLeaf] = {}
         self.decisions_run = 0
         #: Exact-LP work counters.  The context does not solve LPs
         #: itself — the engine's lazily built
@@ -155,10 +157,14 @@ class DecisionContext:
         self, regime, instance: LeafInstance, value_at_age, dest_phase=None
     ) -> Function:
         """Leaf value under a regime, with choice chains for age sets."""
-        if dest_phase:
-            tl = self.machine.fold(instance, dest_phase=dest_phase)
-        else:
-            tl = self.machine.fold(instance)
+        key = (instance, dest_phase)
+        tl = self._folded.get(key)
+        if tl is None:
+            if dest_phase:
+                tl = self.machine.fold(instance, dest_phase=dest_phase)
+            else:
+                tl = self.machine.fold(instance)
+            self._folded[key] = tl
         ages = regime[tl]
         result = value_at_age(tl.leaf, ages[-1])
         for idx in range(len(ages) - 2, -1, -1):

@@ -49,6 +49,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import pickle
@@ -181,6 +182,13 @@ def parse_worker_address(
 # ----------------------------------------------------------------------
 # Task handlers (what a worker can be configured to do)
 # ----------------------------------------------------------------------
+#: Numbers the window-decider states of this process.  Two states in one
+#: process (in-process servers, or a reconfigured worker) each keep their
+#: own cumulative counters, so their telemetry snapshots need distinct
+#: identities or the coordinator keeps only one of them.
+_STATE_IDS = itertools.count()
+
+
 def _windows_init(config: dict) -> dict:
     """Build a window-decider state from a ``configure`` payload."""
     from repro.parallel.windows import build_decider_state
@@ -201,7 +209,7 @@ def _windows_init(config: dict) -> dict:
             "deadline": wire_deadline,
         },
     )
-    state["label"] = f"{socket.gethostname()}:{os.getpid()}"
+    state["label"] = f"{socket.gethostname()}:{os.getpid()}:{next(_STATE_IDS)}"
     return state
 
 

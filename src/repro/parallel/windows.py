@@ -173,7 +173,8 @@ def _snapshot(state: dict) -> dict:
     """Cumulative telemetry of this worker (process or remote host).
 
     ``pid`` doubles as the snapshot identity; cluster workers override
-    it with a ``host:pid`` label so two hosts can never collide.
+    it with a ``host:pid:state`` label so neither two hosts nor two
+    worker states in one process can collide.
     """
     context = state["context"]
     return {

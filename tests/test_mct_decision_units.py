@@ -77,6 +77,28 @@ class TestDecide:
                     assert set(ages) <= set(regime[tl])
 
 
+class TestResolveFoldMemo:
+    def test_one_fold_per_instance_and_destination_phase(self, fig2_context):
+        machine, ctx = fig2_context
+        instance = min(machine.state_instances["g"])
+        phases = [None, Fraction(1, 2), Fraction(1)]
+        regime = {
+            machine.fold(instance, dest_phase=phase or Fraction(0)): (age,)
+            for age, phase in enumerate(phases, start=1)
+        }
+        seen = []
+
+        def value_at_age(leaf, age):
+            seen.append(age)
+            return ctx.manager.true
+
+        for _ in range(2):
+            for phase in phases:
+                ctx._resolve(regime, instance, value_at_age, dest_phase=phase)
+        assert seen == [1, 2, 3, 1, 2, 3]
+        assert len(ctx._folded) == len(phases)
+
+
 class TestReachabilityCare:
     def test_care_set_flips_verdict(self):
         circuit, delays = mirrored_pair(long_delay=10, loop_delay=2)

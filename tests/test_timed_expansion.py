@@ -1,13 +1,22 @@
 """Tests for the timed-expansion engine (Fig. 2 circuit as the anchor)."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bdd import BddManager
+from repro.benchgen import paper_example2
+from repro.benchgen.suite import build_case, suite_cases
 from repro.errors import Budget, ResourceBudgetExceeded, TbfError, AnalysisError
 from repro.logic import Circuit, DelayMap, Gate, GateType, Interval, Latch, PinTiming
 from repro.logic.delays import ZERO
+from repro.logic.gate import gate_bdd
+from repro.mct import MctOptions
+from repro.report.harness import analyze_circuit, run_case
+from repro.resilience import inject_faults
 from repro.timed import (
     CombinationalBdd,
     LeafInstance,
@@ -15,6 +24,85 @@ from repro.timed import (
     collect_leaf_instances,
 )
 from repro.timed.expansion import combinational_bdd
+
+
+def reference_expand(circuit, delays, manager, root, resolver, extra=ZERO, budget=None):
+    """Test-only oracle: the uncompiled walk over ``Fraction`` offsets.
+
+    Returns the root's value and the ``(net, offset)`` cache.  The
+    compiled replay must reproduce its value, resolver call order,
+    BDD operation order and budget charges exactly.
+    """
+
+    def pin_dependencies(net, offset):
+        deps = []
+        for pin, child in enumerate(circuit.gates[net].inputs):
+            timing = delays.pin(net, pin)
+            if timing.is_symmetric:
+                deps.append([(child, offset + timing.rise)])
+            else:
+                deps.append([(child, offset + timing.rise), (child, offset + timing.fall)])
+        return deps
+
+    def combine_pin(net, pin, values):
+        timing = delays.pin(net, pin)
+        if timing.is_symmetric:
+            return values[0]
+        v_rise, v_fall = values
+        if timing.rise.lo >= timing.fall.hi:
+            return v_rise & v_fall
+        if timing.rise.hi <= timing.fall.lo:
+            return v_rise | v_fall
+        raise TbfError(f"pin {pin} of gate {net!r} has overlapping rise/fall intervals")
+
+    cache = {}
+    stack = [(root, extra, False)]
+    while stack:
+        net, offset, ready = stack.pop()
+        key = (net, offset)
+        if key in cache:
+            continue
+        if circuit.is_leaf(net):
+            if budget is not None:
+                budget.charge()
+            cache[key] = resolver(LeafInstance(net, offset))
+            continue
+        deps = pin_dependencies(net, offset)
+        if not ready:
+            stack.append((net, offset, True))
+            for dep_keys in deps:
+                for dep in dep_keys:
+                    if dep not in cache:
+                        stack.append((dep[0], dep[1], False))
+            continue
+        if budget is not None:
+            budget.charge()
+        operands = [
+            combine_pin(net, pin, [cache[dep] for dep in dep_keys])
+            for pin, dep_keys in enumerate(deps)
+        ]
+        gate = circuit.gates[net]
+        cache[key] = gate_bdd(gate.gtype, manager, operands)
+    return cache[(root, extra)], cache
+
+
+def reference_leaves(circuit, delays, root, extra=ZERO):
+    """Leaf instances of the oracle walk."""
+    mgr = BddManager()
+    _, cache = reference_expand(
+        circuit, delays, mgr, root, lambda inst: mgr.var("v"), extra
+    )
+    return {LeafInstance(net, off) for net, off in cache if circuit.is_leaf(net)}
+
+
+def recording_resolver(mgr, calls):
+    """A resolver naming one variable per instance and logging calls."""
+
+    def resolver(inst):
+        calls.append(inst)
+        return mgr.var(f"{inst.leaf}@{inst.offset.lo}:{inst.offset.hi}")
+
+    return resolver
 
 
 def fig2_circuit() -> tuple[Circuit, DelayMap]:
@@ -261,3 +349,225 @@ class TestCombinationalBdd:
         wrapper = CombinationalBdd(circuit, {v: mgr.var(v) for v in "ab"}, mgr)
         outs = wrapper.outputs()
         assert outs["y1"] == ~outs["y2"]
+
+
+# ----------------------------------------------------------------------
+# The compiled replay against the reference walk
+# ----------------------------------------------------------------------
+
+_GATE_TYPES = [
+    GateType.AND, GateType.OR, GateType.NAND, GateType.NOR,
+    GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
+]
+
+
+def _random_delay(rng):
+    return Fraction(rng.randint(0, 12), rng.choice([1, 2, 3, 10]))
+
+
+def _random_pin(rng):
+    """Symmetric or asymmetric, point or interval; asymmetric rise/fall
+    intervals never overlap (slow rise or slow fall, at random)."""
+    kind = rng.randrange(4)
+    lo = _random_delay(rng)
+    if kind == 0:
+        return PinTiming.symmetric(lo)
+    if kind == 1:
+        return PinTiming.symmetric(Interval(lo, lo + _random_delay(rng)))
+    early = Interval(lo, lo + (_random_delay(rng) if kind == 3 else 0))
+    start = early.hi + _random_delay(rng) + Fraction(1, 10)
+    late = Interval(start, start + (_random_delay(rng) if kind == 3 else 0))
+    if rng.random() < 0.5:
+        return PinTiming(rise=late, fall=early)
+    return PinTiming(rise=early, fall=late)
+
+
+def _random_timed_circuit(seed):
+    rng = random.Random(seed)
+    inputs = [f"i{k}" for k in range(rng.randint(1, 3))]
+    nets = list(inputs)
+    gates = []
+    for k in range(rng.randint(1, 8)):
+        gtype = rng.choice(_GATE_TYPES)
+        arity = 1 if gtype in (GateType.NOT, GateType.BUF) else rng.randint(2, 3)
+        gates.append(Gate(f"g{k}", gtype, tuple(rng.choice(nets) for _ in range(arity))))
+        nets.append(f"g{k}")
+    circuit = Circuit("rand", inputs, [nets[-1]], gates)
+    pins = {
+        (gate.output, pin): _random_pin(rng)
+        for gate in gates
+        for pin in range(len(gate.inputs))
+    }
+    return circuit, DelayMap(circuit, pins), rng
+
+
+def _random_extra(rng):
+    lo = Fraction(rng.randint(-9, 9), rng.choice([1, 7, 10]))
+    return Interval(lo, lo + Fraction(rng.randint(0, 3), rng.choice([1, 7])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_compiled_replay_matches_reference_walk(seed):
+    circuit, delays, rng = _random_timed_circuit(seed)
+    root = rng.choice([g for g in circuit.gates] + list(circuit.inputs))
+    extra = _random_extra(rng) if rng.random() < 0.7 else ZERO
+
+    # Separate managers: identical resolver calls, BDD work and charges.
+    runs = []
+    for compiled in (True, False):
+        mgr = BddManager()
+        calls = []
+        budget = Budget(None)
+        resolver = recording_resolver(mgr, calls)
+        if compiled:
+            expander = TimedExpander(circuit, delays, mgr, budget=budget)
+            value = expander.expand(root, resolver, extra)
+        else:
+            value, _ = reference_expand(
+                circuit, delays, mgr, root, resolver, extra, budget
+            )
+        runs.append((calls, budget.used, mgr.stats.as_dict(), mgr.var_names))
+        if compiled:
+            # A second call replays the same program.
+            replay_calls = []
+            used = budget.used
+            again = expander.expand(root, recording_resolver(mgr, replay_calls), extra)
+            assert again == value
+            assert replay_calls == calls
+            assert budget.used - used == used
+    assert runs[0] == runs[1]
+
+    # One manager: the very same node.
+    mgr = BddManager()
+    expander = TimedExpander(circuit, delays, mgr)
+    resolver = recording_resolver(mgr, [])
+    reference, cache = reference_expand(circuit, delays, mgr, root, resolver, extra)
+    assert expander.expand(root, resolver, extra) == reference
+
+    # The compiled leaf table is the reference leaf set, and reading it
+    # charges one unit per cone entry, compiled before or not.
+    leaves = reference_leaves(circuit, delays, root, extra)
+    assert expander.leaf_instances(root, extra) == leaves
+    assert collect_leaf_instances(circuit, delays, [root], extra)[root] == leaves
+    for warm in (False, True):
+        budget = Budget(None)
+        fresh = TimedExpander(circuit, delays, mgr, budget=budget)
+        if warm:
+            fresh.expand(root, resolver, extra)
+            budget.used = 0
+        assert fresh.leaf_instances(root, extra) == leaves
+        assert budget.used == len(cache)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
+def test_compiled_replay_exhausts_budget_at_the_same_entry(seed, limit):
+    circuit, delays, rng = _random_timed_circuit(seed)
+    root = f"g{len(circuit.gates) - 1}"
+    outcomes = []
+    for compiled in (True, False):
+        mgr = BddManager()
+        calls = []
+        budget = Budget(limit)
+        resolver = recording_resolver(mgr, calls)
+        try:
+            if compiled:
+                TimedExpander(circuit, delays, mgr, budget=budget).expand(root, resolver)
+            else:
+                reference_expand(circuit, delays, mgr, root, resolver, ZERO, budget)
+            exhausted = False
+        except ResourceBudgetExceeded:
+            exhausted = True
+        outcomes.append((exhausted, calls, budget.used, mgr.stats.as_dict()))
+    assert outcomes[0] == outcomes[1]
+
+
+class TestOffGridExtra:
+    """An ``extra`` whose denominator is not on the pin-delay grid."""
+
+    def _circuit(self):
+        # Pin delays in tenths; a latch loop with a 1/7 setup time and a
+        # destination phase larger than every path delay, so the
+        # phase-corrected offsets are negative.
+        gates = [
+            Gate("n1", GateType.NAND, ("q", "x")),
+            Gate("n2", GateType.XOR, ("n1", "q")),
+            Gate("d", GateType.OR, ("n2", "n1")),
+        ]
+        circuit = Circuit("offgrid", ["x"], ["d"], gates, [Latch("q", "d")])
+        pins = {
+            ("n1", 0): PinTiming.symmetric(Interval.of("0.3", "0.7")),
+            ("n1", 1): PinTiming.asym(rise="1.1", fall="0.2"),
+            ("n2", 0): PinTiming.symmetric("0.9"),
+            ("n2", 1): PinTiming(rise=Interval.of("0.1", "0.2"), fall=Interval.of("0.5", "0.6")),
+            ("d", 0): PinTiming.symmetric("0.4"),
+            ("d", 1): PinTiming.symmetric(Interval.of("1.3", "1.7")),
+        }
+        delays = DelayMap(circuit, pins, setup=Fraction(1, 7), phase={"q": 5})
+        return circuit, delays
+
+    def _extras(self, delays):
+        setup = Interval.point(delays.setup)
+        return [setup, setup.shifted(-delays.phase("q"))]
+
+    def test_offsets_match_fraction_reference(self):
+        circuit, delays = self._circuit()
+        for extra in self._extras(delays):
+            expected = reference_leaves(circuit, delays, "d", extra)
+            assert any(inst.offset.lo.denominator % 7 == 0 for inst in expected)
+            got = collect_leaf_instances(circuit, delays, ["d"], extra)["d"]
+            assert got == expected
+            assert TimedExpander(circuit, delays, None).leaf_instances("d", extra) == expected
+        negative = reference_leaves(circuit, delays, "d", self._extras(delays)[1])
+        assert all(inst.offset.hi < 0 for inst in negative)
+
+    def test_function_matches_fraction_reference(self):
+        circuit, delays = self._circuit()
+        mgr = BddManager()
+        expander = TimedExpander(circuit, delays, mgr)
+        for extra in self._extras(delays):
+            calls, ref_calls = [], []
+            got = expander.expand("d", recording_resolver(mgr, calls), extra)
+            want, _ = reference_expand(
+                circuit, delays, mgr, "d", recording_resolver(mgr, ref_calls), extra
+            )
+            assert got == want
+            assert calls == ref_calls
+
+
+class TestChargeSequencePinned:
+    """Budget-charge counts of whole analyses, as measured on the
+    uncompiled walk: compiling the cones must not move a single charge.
+    Counting mode: ``inject_faults()`` with no threshold fires nothing."""
+
+    def test_budgeted_g9234_row(self):
+        case = next(c for c in suite_cases() if c.name == "g9234")
+        with inject_faults() as plan:
+            row = run_case(case)
+        assert plan.budget_calls == 201
+        assert row.mct is None and row.floating == Fraction(567, 10)
+
+    def test_g9234_with_counted_delay_budgets(self):
+        case = next(c for c in suite_cases() if c.name == "g9234")
+        circuit, delays = build_case(case)
+        with inject_faults() as plan:
+            analyze_circuit(
+                circuit,
+                delays.widen(Fraction(9, 10)),
+                MctOptions(work_budget=case.mct_budget),
+                comb_budget=10**9,
+            )
+        assert plan.budget_calls == 3031
+
+    @pytest.mark.parametrize("widen, calls", [(None, 422), (Fraction(9, 10), 643)])
+    def test_example2(self, widen, calls):
+        circuit, delays = paper_example2()
+        if widen is not None:
+            delays = delays.widen(widen)
+        with inject_faults() as plan:
+            row = analyze_circuit(
+                circuit, delays, MctOptions(work_budget=10**9), comb_budget=10**9
+            )
+        assert plan.budget_calls == calls
+        assert row.mct == Fraction(5, 2)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import deque
 from fractions import Fraction
 
 from repro.bdd import BddStats, Function
@@ -299,14 +300,17 @@ def minimum_cycle_time(
     resuming with fresh resources is the point.
 
     ``jobs > 1`` decides the upcoming breakpoint windows speculatively
-    on a pool of worker processes (see :mod:`repro.parallel`): verdicts
-    are committed strictly in breakpoint order and speculative work
-    past the first failing window is discarded, so the bound, candidate
-    sequence, and any checkpoint match the serial sweep.  Like the
-    budget and time limit, ``jobs`` is a resource knob and not part of
-    the checkpoint fingerprint — serial and parallel checkpoints are
+    on a pool of worker processes (see :mod:`repro.parallel`); 0 and 1
+    mean serial and a negative count raises
+    :class:`~repro.errors.OptionsError`.  Serial or not, one loop
+    commits verdicts strictly in breakpoint order and discards work
+    past the first failing window, so the bound, candidate sequence,
+    and any checkpoint do not depend on ``jobs``.  Like the budget and
+    time limit, ``jobs`` is a resource knob and not part of the
+    checkpoint fingerprint — serial and parallel checkpoints are
     interchangeable.  A configured ``degradation_ladder`` is stateful
-    across windows and therefore always runs serially.
+    across windows and therefore always decides one window at a time,
+    in-process.
 
     ``transport`` swaps the execution substrate of the parallel sweep:
     a :class:`~repro.parallel.Transport` whose session decides the
@@ -327,6 +331,8 @@ def minimum_cycle_time(
     and cancels jobs through them) and, like ``jobs``, never enter the
     checkpoint fingerprint.
     """
+    if int(jobs) < 0:
+        raise OptionsError(f"jobs must be >= 0, got {jobs}")
     options = options or MctOptions()
     start = time.monotonic()
     deadline = Deadline.after(options.time_limit)
@@ -470,7 +476,12 @@ class _Verdict:
 
 
 class _SweepStop(Exception):
-    """Internal: the sweep must stop and report a partial result."""
+    """Internal: the sweep must stop and report a partial result.
+
+    Carries the notes and flags of every way a sweep ends without a
+    failing window; an ``interrupted`` stop attaches a resume
+    checkpoint to the result.
+    """
 
     def __init__(
         self,
@@ -478,12 +489,37 @@ class _SweepStop(Exception):
         budget: bool = False,
         deadline: bool = False,
         exhausted: bool = False,
+        cancelled: bool = False,
     ):
         super().__init__(notes)
         self.notes = notes
         self.budget = budget
         self.deadline = deadline
         self.exhausted = exhausted
+        self.cancelled = cancelled
+
+    @property
+    def interrupted(self) -> bool:
+        """Stopped by resource pressure or the operator, not a cap."""
+        return self.budget or self.deadline or self.cancelled
+
+
+def _time_limit_stop() -> _SweepStop:
+    """The time limit ran out between windows or waiting on a worker."""
+    return _SweepStop("time limit reached", deadline=True, exhausted=True)
+
+
+def _window_stop(deadline: bool) -> _SweepStop:
+    """A window ran out of work budget (or time) with no rung left."""
+    if deadline:
+        return _SweepStop(
+            "time limit exceeded mid-window; last passing bound reported",
+            deadline=True,
+            exhausted=True,
+        )
+    return _SweepStop(
+        "work budget exhausted; last passing bound reported", budget=True
+    )
 
 
 #: Sentinel distinguishing "not computed yet" from a computed ``None``.
@@ -500,8 +536,8 @@ def decide_window(
 ) -> _Verdict:
     """Decision + feasibility pass for one breakpoint window.
 
-    The rung-agnostic core of the sweep, shared by the serial ladder
-    (:meth:`_Sweep._examine_at`) and the parallel window workers
+    The rung-agnostic core of the sweep, shared by the in-process
+    ladder (:meth:`_Sweep._examine`) and the parallel window workers
     (:mod:`repro.parallel.windows`).  ``oracle_factory`` lazily builds
     the exact gate-coupled LP oracle; it is only invoked when failing
     combinations actually need filtering.  With ``options.lp_shards >
@@ -692,24 +728,6 @@ class _Sweep:
             )
         return self._oracle_cache
 
-    def _bdd_stats(self) -> BddStats | None:
-        """Merged BDD counters across every context built so far."""
-        if not self.contexts:
-            return None
-        merged = BddStats()
-        for context in self.contexts.values():
-            merged.merge(context.bdd_stats)
-        return merged
-
-    def _lp_stats(self) -> LpStats | None:
-        """Merged exact-LP counters, or None when exact mode is off."""
-        if not self.options.exact_feasibility or not self.contexts:
-            return None
-        merged = LpStats()
-        for context in self.contexts.values():
-            merged.merge(context.lp_stats)
-        return merged
-
     def _ite_calls(self) -> int:
         """Total ITE calls across every context built so far."""
         return sum(
@@ -759,256 +777,112 @@ class _Sweep:
     # The sweep
     # ------------------------------------------------------------------
     def run(self) -> MctResult:
-        """Serial sweep, or the speculative parallel sweep for jobs > 1.
+        """Decide the planned windows and commit records in breakpoint order.
 
-        The degradation ladder mutates rung state across windows, so a
-        ladder-configured sweep always runs serially regardless of
-        ``jobs`` or ``transport``.
+        Without a transport session one window is in flight and it is
+        decided in-process through the degradation ladder.  A ladder
+        carries rung state from one window to the next, so a
+        ladder-configured sweep never opens a session, whatever ``jobs``
+        or ``transport`` say.  With a session (pool processes or cluster
+        hosts, each owning a BDD manager) up to ``session.capacity``
+        windows are decided speculatively; speculation past the first
+        failing window is discarded, so the bound, candidate sequence
+        and checkpoint match the in-process sweep.  Per-record
+        ``elapsed_seconds``/``ite_calls`` and the merged ``bdd_stats``
+        measure the execution (each worker warms its own caches) and
+        legitimately differ between the two.
         """
+        session = None
         parallel = self.transport is not None or self.jobs > 1
         if parallel and not self.options.degradation_ladder:
-            return self._run_parallel()
-        return self._run_serial()
+            from repro.parallel.transport import LocalTransport
 
-    def _run_serial(self) -> MctResult:
-        options = self.options
-        machine = self.machine
-        tau_floor = options.tau_floor
-        if tau_floor is None:
-            tau_floor = machine.L / options.max_age
-        steady = machine.steady_regime()
-
-        mct_ub: Fraction | None = None
-        failure_found = False
-        failing_window = None
-        failing_sigmas: tuple = ()
-        failing_roots: tuple[str, ...] = ()
-        exhausted = False
-        budget_exceeded = False
-        deadline_exceeded = False
-        notes = ""
-        interrupted = False
-        cancelled = False
+            transport = self.transport or LocalTransport(self.jobs)
+            session = transport.open_windows(
+                self.circuit,
+                self.machine.delays,
+                self.options,
+                budget=self.budget,
+                deadline=self.deadline,
+            )
+        capacity = 1 if session is None else session.capacity
+        #: pid -> latest cumulative telemetry snapshot of that worker.
+        snapshots: dict[int, dict] = {}
+        plan = self._plan_events()
+        pending: deque = deque()
+        in_flight = 0
+        failure = stop = None
         try:
-            for tau in tau_breakpoints(machine.endpoint_values, tau_floor):
-                if self.resume_below is not None and tau >= self.resume_below:
-                    continue  # already examined before the checkpoint
-                if len(self.records) >= options.max_candidates:
-                    exhausted, notes = True, "candidate cap reached"
-                    break
+            while True:
+                # Refill up to capacity; the plan ends with a "stop"
+                # event and is never pulled past it.
+                while in_flight < capacity and (
+                    not pending or pending[-1][0] != "stop"
+                ):
+                    event = next(plan)
+                    if event[0] == "decide":
+                        in_flight += 1
+                        if session is not None:
+                            event += (session.submit(event[3], event[2]),)
+                    pending.append(event)
+                event = pending.popleft()
+                kind = event[0]
+                if kind == "stop":
+                    raise event[1]
                 self._check_cancelled()
                 if self.deadline is not None and self.deadline.expired():
-                    exhausted, deadline_exceeded = True, True
-                    notes = "time limit reached"
-                    interrupted = True
-                    break
-                regime = machine.regime(tau)
-                m = max(max(ages) for ages in regime.values())
-                rung = self.rungs[self.rung_idx]
-                if m > rung.max_age:
-                    exhausted = True
-                    if self.rung_idx == 0:
-                        notes = f"age cap {rung.max_age} reached"
-                    else:
-                        # Degraded capability ran out: partial result.
-                        notes = (
-                            f"age cap {rung.max_age} reached "
-                            f"(degraded rung {rung.name})"
-                        )
-                        budget_exceeded = self._degraded_by == "budget"
-                        deadline_exceeded = self._degraded_by == "deadline"
-                        interrupted = True
-                    break
-                if regime == self.prev_regime:
-                    self.prev_tau = tau
-                    continue
-                self.prev_regime = regime
-                if regime == steady:
-                    self._commit(
-                        CandidateRecord(tau, "steady", m, 0.0, rung.name)
-                    )
-                    self.prev_tau = tau
-                    continue
-                window_top = (
-                    self.prev_tau if self.prev_tau is not None else machine.L
-                )
-                window = (tau, window_top)
-                verdict = self._decide_serial(regime, m, tau, window)
-                if verdict.status != "fail":
-                    self.prev_tau = tau
-                    continue
-                mct_ub = verdict.bound
-                failure_found = True
-                failing_window = window
-                failing_sigmas = verdict.sigmas
-                failing_roots = verdict.roots
-                break
-            else:
-                # The stream only yields breakpoints strictly above the
-                # floor; examine the floor itself so the exhausted-sweep
-                # bound is the grid-independent τ floor rather than the
-                # smallest breakpoint the delay values happened to put
-                # on the grid (which is not monotone under widening —
-                # hypothesis seed 2476).
-                event = self._floor_event(
-                    tau_floor,
-                    self.prev_tau,
-                    self.prev_regime,
-                    len(self.records),
-                )
-                if event is not None and event[0] == "steady":
+                    raise _time_limit_stop()
+                if kind == "decide":
+                    in_flight -= 1
+                    verdict = self._decide(event, session, snapshots)
+                    if verdict.status == "fail":
+                        failure = (verdict, event[2])
+                        break
+                elif kind == "steady":
                     _, tau, m = event
                     self._commit(
                         CandidateRecord(
-                            tau, "steady", m, 0.0,
-                            self.rungs[self.rung_idx].name,
+                            tau, "steady", m, 0.0, self.rungs[self.rung_idx].name
                         )
                     )
-                    self.prev_tau = tau
-                elif event is not None:
-                    _, tau, window, regime, m = event
-                    verdict = self._decide_serial(regime, m, tau, window)
-                    if verdict.status == "fail":
-                        mct_ub = verdict.bound
-                        failure_found = True
-                        failing_window = window
-                        failing_sigmas = verdict.sigmas
-                        failing_roots = verdict.roots
-                    else:
-                        self.prev_tau = tau
-                if not failure_found:
-                    exhausted = True
-                    notes = "breakpoint stream exhausted (τ floor)"
-        except _SweepStop as stop:
-            budget_exceeded = budget_exceeded or stop.budget
-            deadline_exceeded = deadline_exceeded or stop.deadline
-            exhausted = exhausted or stop.exhausted
-            notes = stop.notes
-            interrupted = True
+                self.prev_tau = event[1]
+        except _SweepStop as exc:
+            stop = exc
         except KeyboardInterrupt:
-            # Operator Ctrl-C / SIGTERM: keep everything decided so far
-            # and attach a checkpoint — the sweep is always resumable.
-            cancelled = interrupted = True
-            notes = "interrupted by operator; resume with the checkpoint"
-
+            # Operator Ctrl-C / SIGTERM: keep every committed record and
+            # attach a checkpoint — the sweep is always resumable.
+            stop = _SweepStop(
+                "interrupted by operator; resume with the checkpoint",
+                cancelled=True,
+            )
+        finally:
+            if session is not None:
+                # Drain telemetry from any completed speculative tasks,
+                # then abandon the rest (their verdicts are unused).
+                for event in pending:
+                    if event[0] == "decide":
+                        _absorb(snapshots, session.peek(event[5]))
+                session.shutdown()
         return self._finalize(
-            mct_ub=mct_ub,
-            failure_found=failure_found,
-            failing_window=failing_window,
-            failing_sigmas=failing_sigmas,
-            failing_roots=failing_roots,
-            budget_exceeded=budget_exceeded,
-            deadline_exceeded=deadline_exceeded,
-            exhausted=exhausted,
-            notes=notes,
-            interrupted=interrupted,
-            cancelled=cancelled,
-            decisions_run=sum(
-                ctx.decisions_run for ctx in self.contexts.values()
-            ),
-            bdd_stats=self._bdd_stats(),
-            lp_stats=self._lp_stats(),
+            failure, stop, snapshots, None if session is None else session.stats
         )
 
-    def _decide_serial(self, regime, m: int, tau: Fraction, window) -> _Verdict:
-        """Examine one window via the ladder and append its record."""
-        window_start = time.monotonic()
-        ite_before = self._ite_calls()
-        lp_before = self._lp_solves()
-        verdict = self._examine(regime, m, tau, window)
-        self._commit(
-            CandidateRecord(
-                tau,
-                verdict.status,
-                verdict.m,
-                time.monotonic() - window_start,
-                self.rungs[self.rung_idx].name,
-                self._ite_calls() - ite_before,
-                lp_solves=self._lp_solves() - lp_before,
-            )
-        )
-        return verdict
-
-    def _finalize(
-        self,
-        *,
-        mct_ub: Fraction | None,
-        failure_found: bool,
-        failing_window,
-        failing_sigmas: tuple,
-        failing_roots: tuple[str, ...],
-        budget_exceeded: bool,
-        deadline_exceeded: bool,
-        exhausted: bool,
-        notes: str,
-        interrupted: bool,
-        decisions_run: int,
-        bdd_stats: BddStats | None,
-        lp_stats: LpStats | None = None,
-        supervision: SupervisionStats | None = None,
-        cancelled: bool = False,
-    ) -> MctResult:
-        """Assemble the :class:`MctResult` (shared serial/parallel tail)."""
-        machine = self.machine
-        if mct_ub is None:
-            # Never failed: report the last *examined* breakpoint — the
-            # machine is proven equivalent for every τ ≥ that value.
-            passing = [r.tau for r in self.records if r.status != "fail"]
-            mct_ub = (
-                min(passing)
-                if passing
-                else (machine.L if not budget_exceeded else None)
-            )
-            if mct_ub is not None and not notes:
-                exhausted = True
-                notes = "no failing window found down to the sweep floor"
-        return MctResult(
-            circuit_name=self.circuit.name,
-            L=machine.L,
-            mct_upper_bound=mct_ub,
-            failure_found=failure_found,
-            failing_window=failing_window,
-            failing_sigmas=failing_sigmas,
-            failing_roots=failing_roots,
-            candidates=tuple(self.records),
-            decisions_run=decisions_run,
-            elapsed_seconds=time.monotonic() - self.start,
-            budget_exceeded=budget_exceeded,
-            deadline_exceeded=deadline_exceeded,
-            exhausted=exhausted,
-            notes=notes,
-            rung=self.rungs[self.rung_idx].name,
-            degradations=tuple(self.degradations),
-            checkpoint=(
-                self._checkpoint(notes, bdd_stats, supervision, lp_stats)
-                if interrupted
-                else None
-            ),
-            bdd_stats=bdd_stats,
-            lp_stats=lp_stats,
-            supervision=supervision,
-            cancelled=cancelled,
-        )
-
-    # ------------------------------------------------------------------
-    # The parallel sweep (speculative window decisions)
-    # ------------------------------------------------------------------
     def _plan_events(self):
         """Planned sweep events, independent of window verdicts.
 
         Which windows need a decision — their regimes, unrolling depths
-        and window tops — is a pure function of the breakpoint stream;
-        a verdict only determines *whether the sweep continues*.  This
-        generator replays the serial loop's bookkeeping (resume skips,
-        candidate cap, age cap, same-regime skips, steady windows)
-        without deciding anything, so the parallel sweep can submit
-        decisions speculatively and still commit records in exactly the
-        serial order.  Events::
+        and window tops — is a pure function of the breakpoint stream
+        and the rung in force; a verdict only determines *whether the
+        sweep continues*.  So :meth:`run` can submit decisions
+        speculatively and still commit records in breakpoint order.
+        The rung is read at every breakpoint: an escalation inside a
+        window (ladder sweeps keep one window in flight) moves the age
+        cap the next breakpoint is checked against.  Events::
 
-            ("skip", tau)                     same regime: advance prev_tau
-            ("steady", tau, m)                steady window: record, no decision
+            ("skip", tau)                      same regime: advance prev_tau
+            ("steady", tau, m)                 steady window: record, no decision
             ("decide", tau, window, regime, m) undecided window
-            ("stop", notes)                   sweep exhausted (cap/floor)
+            ("stop", _SweepStop)               candidate cap, age cap or τ floor
         """
         options = self.options
         machine = self.machine
@@ -1016,7 +890,6 @@ class _Sweep:
         if tau_floor is None:
             tau_floor = machine.L / options.max_age
         steady = machine.steady_regime()
-        rung = self.rungs[self.rung_idx]
         planned = len(self.records)
         prev_tau = self.prev_tau
         prev_regime = self.prev_regime
@@ -1024,12 +897,12 @@ class _Sweep:
             if self.resume_below is not None and tau >= self.resume_below:
                 continue  # already examined before the checkpoint
             if planned >= options.max_candidates:
-                yield ("stop", "candidate cap reached")
+                yield ("stop", _SweepStop("candidate cap reached", exhausted=True))
                 return
             regime = machine.regime(tau)
             m = max(max(ages) for ages in regime.values())
-            if m > rung.max_age:
-                yield ("stop", f"age cap {rung.max_age} reached")
+            if m > self.rungs[self.rung_idx].max_age:
+                yield ("stop", self._age_cap_stop())
                 return
             if regime == prev_regime:
                 yield ("skip", tau)
@@ -1048,7 +921,10 @@ class _Sweep:
         event = self._floor_event(tau_floor, prev_tau, prev_regime, planned)
         if event is not None:
             yield event
-        yield ("stop", "breakpoint stream exhausted (τ floor)")
+        yield (
+            "stop",
+            _SweepStop("breakpoint stream exhausted (τ floor)", exhausted=True),
+        )
 
     def _floor_event(self, tau_floor, prev_tau, prev_regime, planned):
         """The synthetic final window ``[τ floor, prev_tau)``, or None.
@@ -1060,8 +936,6 @@ class _Sweep:
         band) could shrink the reported bound of a strictly more
         pessimistic machine.  Examining the floor itself pins the
         exhausted-sweep bound to the grid-independent ``τ floor``.
-        Shared by the serial for-else and the parallel planner so both
-        paths stay event-for-event identical.
         """
         machine = self.machine
         if prev_tau is None or tau_floor <= 0 or tau_floor >= prev_tau:
@@ -1080,247 +954,149 @@ class _Sweep:
             return ("steady", tau_floor, m)
         return ("decide", tau_floor, (tau_floor, prev_tau), regime, m)
 
-    def _run_parallel(self) -> MctResult:
-        """Decide upcoming windows speculatively, commit in order.
+    def _decide(self, event, session, snapshots: dict) -> _Verdict:
+        """Decide one ``decide`` event's window and commit its record.
 
-        Workers (pool processes or cluster hosts — whatever the
-        :class:`~repro.parallel.Transport` session provides) each own a
-        BDD manager and decide whole windows (decision + feasibility);
-        the parent keeps up to ``session.capacity`` windows in flight,
-        commits verdicts strictly in breakpoint order, and discards
-        speculative results past the first failing window, so the
-        bound, candidate sequence, and checkpoint match
-        :meth:`_run_serial` exactly.  Per-record
-        ``elapsed_seconds``/``ite_calls`` and the merged ``bdd_stats``
-        are measurements of the parallel execution (each worker warms
-        its own caches) and legitimately differ from a serial run's.
+        A worker's payload commits with the worker's measurements.  A
+        window without a session, or one the supervisor quarantined
+        (the pool could not produce it within the attempt budget), is
+        decided in-process through :meth:`_examine` — same
+        :func:`decide_window` core, identical verdict.
         """
-        from collections import deque
-
-        from repro.parallel.transport import LocalTransport
-
-        mct_ub: Fraction | None = None
-        failure_found = False
-        failing_window = None
-        failing_sigmas: tuple = ()
-        failing_roots: tuple[str, ...] = ()
-        exhausted = False
-        budget_exceeded = False
-        deadline_exceeded = False
-        notes = ""
-        interrupted = False
-        cancelled = False
-        rung_name = self.rungs[self.rung_idx].name
-        #: pid -> (seq, BddStats dict, LpStats dict | None,
-        #: decisions_run): latest cumulative snapshot each worker
-        #: attached to a task result.
-        snapshots: dict[int, tuple[int, dict, dict | None, int]] = {}
-
-        def absorb(payload: dict) -> None:
-            snap = payload.get("worker")
-            if snap is None:
-                return
-            have = snapshots.get(snap["pid"])
-            if have is None or have[0] < snap["seq"]:
-                snapshots[snap["pid"]] = (
-                    snap["seq"],
-                    snap["stats"],
-                    snap.get("lp"),
-                    snap["decisions_run"],
+        _, tau, window, regime, m = event[:5]
+        quarantined = None
+        if session is not None:
+            handle = event[5]
+            try:
+                outcome = session.result(handle)
+            except DeadlineExceeded:
+                raise _time_limit_stop() from None
+            if isinstance(outcome, Quarantined):
+                quarantined = outcome
+            else:
+                _absorb(snapshots, outcome)
+                error = outcome.get("error")
+                if error in ("budget", "deadline"):
+                    raise _window_stop(deadline=error == "deadline")
+                if error is not None:
+                    raise AnalysisError(
+                        "parallel sweep worker failed: "
+                        f"{outcome.get('detail', error)}"
+                    )
+                verdict = outcome["verdict"]
+                self._commit(
+                    CandidateRecord(
+                        tau,
+                        verdict.status,
+                        verdict.m,
+                        outcome["elapsed"],
+                        self.rungs[self.rung_idx].name,
+                        outcome["ite_calls"],
+                        attempts=handle.attempts,
+                        lp_solves=outcome.get("lp_solves", 0),
+                    )
                 )
+                return verdict
+        window_start = time.monotonic()
+        ite_before = self._ite_calls()
+        lp_before = self._lp_solves()
+        verdict = self._examine(regime, m, tau, window)
+        self._commit(
+            CandidateRecord(
+                tau,
+                verdict.status,
+                verdict.m,
+                time.monotonic() - window_start,
+                self.rungs[self.rung_idx].name,
+                self._ite_calls() - ite_before,
+                attempts=1 if quarantined is None else quarantined.attempts,
+                quarantined=quarantined is not None,
+                lp_solves=self._lp_solves() - lp_before,
+            )
+        )
+        return verdict
 
-        transport = self.transport or LocalTransport(self.jobs)
-        session = transport.open_windows(
-            self.circuit,
-            self.machine.delays,
-            self.options,
-            budget=self.budget,
-            deadline=self.deadline,
-        )
-        plan = self._plan_events()
-        pending: deque = deque()
-        in_flight = 0
-        plan_done = False
-        try:
-            while True:
-                while not plan_done and in_flight < session.capacity:
-                    try:
-                        event = next(plan)
-                    except StopIteration:
-                        plan_done = True
-                        break
-                    if event[0] == "decide":
-                        _, tau, window, regime, m = event
-                        handle = session.submit(regime, window)
-                        pending.append(
-                            ("decide", tau, window, regime, m, handle)
-                        )
-                        in_flight += 1
-                    else:
-                        pending.append(event)
-                        if event[0] == "stop":
-                            plan_done = True
-                if not pending:
-                    break
-                event = pending.popleft()
-                kind = event[0]
-                if kind == "stop":
-                    exhausted, notes = True, event[1]
-                    break
-                self._check_cancelled()
-                if self.deadline is not None and self.deadline.expired():
-                    exhausted = deadline_exceeded = interrupted = True
-                    notes = "time limit reached"
-                    break
-                if kind == "skip":
-                    self.prev_tau = event[1]
-                    continue
-                if kind == "steady":
-                    _, tau, m = event
-                    self._commit(
-                        CandidateRecord(tau, "steady", m, 0.0, rung_name)
-                    )
-                    self.prev_tau = tau
-                    continue
-                _, tau, window, regime, m, handle = event
-                in_flight -= 1
-                try:
-                    outcome = session.result(handle)
-                except DeadlineExceeded:
-                    exhausted = deadline_exceeded = interrupted = True
-                    notes = "time limit reached"
-                    break
-                if isinstance(outcome, Quarantined):
-                    # The pool could not produce this window within the
-                    # attempt budget: decide it serially in-process.
-                    # Same decide_window core, parent-side context —
-                    # degraded throughput, identical verdict.
-                    window_start = time.monotonic()
-                    ite_before = self._ite_calls()
-                    lp_before = self._lp_solves()
-                    try:
-                        verdict = self._examine_at(
-                            self.rungs[self.rung_idx], regime, window
-                        )
-                    except ResourceBudgetExceeded:
-                        budget_exceeded = interrupted = True
-                        notes = (
-                            "work budget exhausted; "
-                            "last passing bound reported"
-                        )
-                        break
-                    except DeadlineExceeded:
-                        deadline_exceeded = exhausted = interrupted = True
-                        notes = (
-                            "time limit exceeded mid-window; "
-                            "last passing bound reported"
-                        )
-                        break
-                    self._commit(
-                        CandidateRecord(
-                            tau,
-                            verdict.status,
-                            verdict.m,
-                            time.monotonic() - window_start,
-                            rung_name,
-                            self._ite_calls() - ite_before,
-                            attempts=outcome.attempts,
-                            quarantined=True,
-                            lp_solves=self._lp_solves() - lp_before,
-                        )
-                    )
-                else:
-                    payload = outcome
-                    absorb(payload)
-                    error = payload.get("error")
-                    if error == "budget":
-                        budget_exceeded = interrupted = True
-                        notes = (
-                            "work budget exhausted; "
-                            "last passing bound reported"
-                        )
-                        break
-                    if error == "deadline":
-                        deadline_exceeded = exhausted = interrupted = True
-                        notes = (
-                            "time limit exceeded mid-window; "
-                            "last passing bound reported"
-                        )
-                        break
-                    if error is not None:
-                        raise AnalysisError(
-                            "parallel sweep worker failed: "
-                            f"{payload.get('detail', error)}"
-                        )
-                    verdict = payload["verdict"]
-                    self._commit(
-                        CandidateRecord(
-                            tau,
-                            verdict.status,
-                            verdict.m,
-                            payload["elapsed"],
-                            rung_name,
-                            payload["ite_calls"],
-                            attempts=handle.attempts,
-                            lp_solves=payload.get("lp_solves", 0),
-                        )
-                    )
-                if verdict.status != "fail":
-                    self.prev_tau = tau
-                    continue
-                mct_ub = verdict.bound
-                failure_found = True
-                failing_window = window
-                failing_sigmas = verdict.sigmas
-                failing_roots = verdict.roots
-                break
-        except KeyboardInterrupt:
-            # Operator Ctrl-C / SIGTERM: keep every committed record and
-            # attach a checkpoint — the sweep is always resumable.
-            cancelled = interrupted = True
-            notes = "interrupted by operator; resume with the checkpoint"
-        finally:
-            # Drain telemetry from any completed speculative tasks, then
-            # abandon the rest (their verdicts are intentionally unused).
-            for event in pending:
-                if event[0] != "decide":
-                    continue
-                payload = session.peek(event[5])
-                if payload is not None:
-                    absorb(payload)
-            session.shutdown()
-        # Parent-side contexts exist only for quarantined windows; merge
-        # them with the workers' cumulative snapshots.
-        merged = self._bdd_stats()
-        merged_lp = self._lp_stats()
-        decisions = sum(ctx.decisions_run for ctx in self.contexts.values())
-        if snapshots:
-            if merged is None:
-                merged = BddStats()
-            for _, stats_dict, lp_dict, decided in snapshots.values():
-                merged.merge(BddStats.from_dict(stats_dict))
-                decisions += decided
-                if lp_dict is not None and self.options.exact_feasibility:
-                    if merged_lp is None:
-                        merged_lp = LpStats()
-                    merged_lp.merge(LpStats.from_dict(lp_dict))
-        return self._finalize(
-            mct_ub=mct_ub,
-            failure_found=failure_found,
+    def _finalize(
+        self,
+        failure: tuple[_Verdict, tuple] | None,
+        stop: _SweepStop | None,
+        snapshots: dict,
+        supervision: SupervisionStats | None,
+    ) -> MctResult:
+        """Assemble the :class:`MctResult` of a finished sweep.
+
+        Exactly one of ``failure`` (the first failing window's verdict
+        and window) and ``stop`` (why the sweep ended without one) is
+        set; ``snapshots`` are the workers' latest telemetry snapshots.
+        """
+        verdict, failing_window = failure or (None, None)
+        stop = stop or _SweepStop("")
+        decisions, bdd_stats, lp_stats = self._merged_stats(snapshots)
+        if verdict is not None:
+            mct_ub = verdict.bound
+        else:
+            # Never failed: report the last *examined* breakpoint — the
+            # machine is proven equivalent for every τ ≥ that value.
+            passing = [r.tau for r in self.records if r.status != "fail"]
+            mct_ub = (
+                min(passing)
+                if passing
+                else (None if stop.budget else self.machine.L)
+            )
+        return MctResult(
+            circuit_name=self.circuit.name,
+            L=self.machine.L,
+            mct_upper_bound=mct_ub,
+            failure_found=verdict is not None,
             failing_window=failing_window,
-            failing_sigmas=failing_sigmas,
-            failing_roots=failing_roots,
-            budget_exceeded=budget_exceeded,
-            deadline_exceeded=deadline_exceeded,
-            exhausted=exhausted,
-            notes=notes,
-            interrupted=interrupted,
-            cancelled=cancelled,
+            failing_sigmas=verdict.sigmas if verdict else (),
+            failing_roots=verdict.roots if verdict else (),
+            candidates=tuple(self.records),
             decisions_run=decisions,
-            bdd_stats=merged,
-            lp_stats=merged_lp,
-            supervision=session.stats,
+            elapsed_seconds=time.monotonic() - self.start,
+            budget_exceeded=stop.budget,
+            deadline_exceeded=stop.deadline,
+            exhausted=stop.exhausted,
+            notes=stop.notes,
+            rung=self.rungs[self.rung_idx].name,
+            degradations=tuple(self.degradations),
+            checkpoint=(
+                self._checkpoint(stop.notes, bdd_stats, supervision, lp_stats)
+                if stop.interrupted
+                else None
+            ),
+            bdd_stats=bdd_stats,
+            lp_stats=lp_stats,
+            supervision=supervision,
+            cancelled=stop.cancelled,
         )
+
+    def _merged_stats(
+        self, snapshots: dict
+    ) -> tuple[int, BddStats | None, LpStats | None]:
+        """Decisions run and merged BDD / exact-LP counters.
+
+        Parent-side contexts (every in-process window) merge with the
+        workers' cumulative snapshots.  Either counter set is ``None``
+        when nothing contributed to it; LP counters also when
+        ``exact_feasibility`` is off.
+        """
+        contexts = list(self.contexts.values())
+        workers = list(snapshots.values())
+        decisions = sum(ctx.decisions_run for ctx in contexts) + sum(
+            snap["decisions_run"] for snap in workers
+        )
+        bdd_parts = [ctx.bdd_stats for ctx in contexts] + [
+            BddStats.from_dict(snap["stats"]) for snap in workers
+        ]
+        lp_parts = []
+        if self.options.exact_feasibility:
+            lp_parts = [ctx.lp_stats for ctx in contexts] + [
+                LpStats.from_dict(snap["lp"])
+                for snap in workers
+                if snap.get("lp") is not None
+            ]
+        return decisions, _merge(BddStats, bdd_parts), _merge(LpStats, lp_parts)
 
     # ------------------------------------------------------------------
     # One window, with the degradation ladder
@@ -1331,29 +1107,41 @@ class _Sweep:
             rung = self.rungs[self.rung_idx]
             if m > rung.max_age:
                 # Only reachable after an escalation to "reduced-age"
-                # (the main loop vetted m against the cap on entry).
-                raise _SweepStop(
-                    f"age cap {rung.max_age} reached "
-                    f"(degraded rung {rung.name})",
-                    budget=self._degraded_by == "budget",
-                    deadline=self._degraded_by == "deadline",
-                    exhausted=True,
-                )
+                # (the planner vetted m against the cap).
+                raise self._age_cap_stop()
             try:
-                return self._examine_at(rung, regime, window)
+                return decide_window(
+                    self._context(self.rung_idx),
+                    regime,
+                    window,
+                    self.options,
+                    oracle_factory=(
+                        self._oracle if rung.exact_feasibility else None
+                    ),
+                    deadline=self.deadline,
+                )
             except (ResourceBudgetExceeded, DeadlineExceeded) as exc:
                 if not self._escalate(exc, tau):
-                    if isinstance(exc, DeadlineExceeded):
-                        raise _SweepStop(
-                            "time limit exceeded mid-window; "
-                            "last passing bound reported",
-                            deadline=True,
-                            exhausted=True,
-                        ) from exc
-                    raise _SweepStop(
-                        "work budget exhausted; last passing bound reported",
-                        budget=True,
+                    raise _window_stop(
+                        deadline=isinstance(exc, DeadlineExceeded)
                     ) from exc
+
+    def _age_cap_stop(self) -> _SweepStop:
+        """The stop at a window deeper than the current rung's age cap.
+
+        At rung 0 the configured cap ends an exhausted sweep.  On a
+        degraded rung the degraded capability ran out, so the result is
+        partial, interrupted by whatever forced the degradation.
+        """
+        rung = self.rungs[self.rung_idx]
+        if self.rung_idx == 0:
+            return _SweepStop(f"age cap {rung.max_age} reached", exhausted=True)
+        return _SweepStop(
+            f"age cap {rung.max_age} reached (degraded rung {rung.name})",
+            budget=self._degraded_by == "budget",
+            deadline=self._degraded_by == "deadline",
+            exhausted=True,
+        )
 
     def _escalate(self, exc: Exception, tau: Fraction) -> bool:
         """Move to the next rung; False when the ladder is spent."""
@@ -1375,16 +1163,25 @@ class _Sweep:
         )
         return True
 
-    def _examine_at(self, rung: _RungConfig, regime, window) -> _Verdict:
-        """Run the decision + feasibility pass at one rung's settings."""
-        return decide_window(
-            self._context(self.rung_idx),
-            regime,
-            window,
-            self.options,
-            oracle_factory=self._oracle if rung.exact_feasibility else None,
-            deadline=self.deadline,
-        )
+
+def _absorb(snapshots: dict, payload: dict | None) -> None:
+    """Keep the latest cumulative telemetry snapshot a worker attached."""
+    snap = None if payload is None else payload.get("worker")
+    if snap is None:
+        return
+    have = snapshots.get(snap["pid"])
+    if have is None or have["seq"] < snap["seq"]:
+        snapshots[snap["pid"]] = snap
+
+
+def _merge(kind, parts: list):
+    """Merge counter objects into a fresh ``kind()``; None when empty."""
+    if not parts:
+        return None
+    merged = kind()
+    for part in parts:
+        merged.merge(part)
+    return merged
 
 
 def _reachable_care(circuit: Circuit, options: MctOptions) -> Function:

@@ -7,11 +7,12 @@ Two independent levers, both behind ``--jobs N``:
   and returns the rows in the serial order plus per-worker telemetry
   (:class:`WorkerStats`).
 * :mod:`repro.parallel.windows` decides the next ``N`` breakpoint
-  windows of a *single* sweep speculatively.  The engine
-  (:meth:`repro.mct.engine._Sweep._run_parallel`) commits verdicts
-  strictly in breakpoint order and discards speculation past the first
-  failing window, so the bound, candidate sequence, and checkpoint are
-  identical to the serial sweep's.
+  windows of a *single* sweep speculatively.  The engine's one sweep
+  loop (:meth:`repro.mct.engine._Sweep.run`) commits verdicts strictly
+  in breakpoint order, whether a window was decided by a worker or
+  in-process, and discards speculation past the first failing window,
+  so the bound, candidate sequence, and checkpoint are identical to
+  the serial sweep's.
 
 Where those windows (or suite rows) actually execute is behind the
 :class:`Transport` abstraction (:mod:`repro.parallel.transport`):

@@ -1,10 +1,12 @@
 """Transport abstraction over the sweep's window-decision executors.
 
-The engine's planner/decider split (``_plan_events`` +
-``decide_window``) never cared *where* a window gets decided — it
-submits ``(regime, window)`` tasks and commits payloads strictly in
-breakpoint order.  This module names that contract so the execution
-substrate becomes pluggable:
+The engine's sweep loop (:meth:`repro.mct.engine._Sweep.run`) plans
+its windows without deciding them, so it never cares *where* a window
+gets decided: with a session it submits ``(regime, window)`` tasks and
+commits payloads strictly in breakpoint order; without one it decides
+each window in-process, through the same
+:func:`~repro.mct.engine.decide_window` core.  This module names the
+session contract so the execution substrate becomes pluggable:
 
 * :class:`LocalTransport` — the PR 3/5 path: a supervised
   :class:`~repro.parallel.windows.WindowDecider` process pool on this
@@ -20,8 +22,8 @@ promises the engine relies on for byte-identical-to-serial results:
    same verdict, so a retried, re-dispatched, or quarantined task can
    never change the answer;
 2. ``result`` returns the payload dict of the *given* handle (or a
-   :class:`~repro.parallel.supervise.Quarantined` marker — the caller
-   then decides serially in-process), never some other task's; the
+   :class:`~repro.parallel.supervise.Quarantined` marker — the loop
+   then decides that window in-process), never some other task's; the
    payload carries the work telemetry of the decision (``ite_calls``,
    ``lp_solves``, and the cumulative per-worker ``worker`` snapshot
    with its ``stats``/``lp`` counter dicts);

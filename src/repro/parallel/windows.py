@@ -3,11 +3,13 @@
 The engine's planner (:meth:`repro.mct.engine._Sweep._plan_events`)
 knows which windows need deciding without knowing any verdict, so a
 :class:`WindowDecider` can run Decision Algorithm 6.1 on the next few
-windows concurrently while the sweep commits results in breakpoint
+windows concurrently while the sweep loop
+(:meth:`repro.mct.engine._Sweep.run`) commits results in breakpoint
 order.  Each pool process builds its own discretized machine and
 :class:`~repro.mct.decision.DecisionContext` once (the initializer),
 then answers ``(regime, window)`` tasks with the same
-:func:`repro.mct.engine.decide_window` core the serial sweep uses.
+:func:`repro.mct.engine.decide_window` core the loop uses for
+in-process windows.
 
 Exceptions with constructor arguments do not round-trip reliably
 through :mod:`pickle`, so workers never raise across the boundary:
@@ -23,7 +25,7 @@ result's ``bdd_stats`` / ``lp_stats``.
 The pool runs under a :class:`~repro.parallel.supervise.Supervisor`:
 a worker death no longer aborts the sweep — the pool is rebuilt, the
 uncommitted windows resubmitted, and a window that keeps losing its
-worker is quarantined for the engine to decide serially in-process.
+worker is quarantined for the sweep loop to decide in-process.
 """
 
 from __future__ import annotations

@@ -157,8 +157,9 @@ def point_sigma_sup_tau(
 ) -> tuple[bool, Fraction | None]:
     """Relaxed feasibility and supremum of one fully specified σ.
 
-    The prescreen primitive of the exact-LP branch and bound
-    (:mod:`repro.mct.lp_exact`): ``sigma`` assigns a *single* age per
+    The one-σ form of the exact-LP prescreen (:mod:`repro.mct.lp_exact`
+    scores whole products at once and must agree with it σ by σ):
+    ``sigma`` assigns a *single* age per
     leaf, and the return value distinguishes "infeasible" from
     "unbounded above" — ``(False, None)`` when no τ works,
     ``(True, sup)`` otherwise with ``sup=None`` meaning the feasible

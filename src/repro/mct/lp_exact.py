@@ -23,7 +23,15 @@ is a branch-and-bound search rather than a blind loop:
 * **interval prescreen**: each σ is first checked against the relaxed
   per-leaf model.  A relaxed-infeasible σ cannot be LP-feasible (the
   LP's variable bounds confine every path total to its leaf interval),
-  so its LP is skipped outright.
+  so its LP is skipped outright.  For a single-age σ every leaf's τ-set
+  is one half-open range, so the relaxed τ-set is ``[max lo, min hi)``
+  — separable over the leaves.  The whole product is therefore scored
+  at once: each (leaf, age) range is computed once, every endpoint is
+  replaced by its rank among the distinct endpoints (an exact order
+  embedding, so no float ever enters), and a broadcast max/min over the
+  multi-option leaves gives every σ's feasibility and relaxed supremum.
+  Survivors are materialized lazily, in visiting order, as the loop
+  below reaches them.
 * **bound pruning**: surviving σ's are visited in descending order of
   their relaxed supremum.  Because the exact τ(σ) never exceeds the
   relaxed one, the first time the next σ's relaxed supremum cannot beat
@@ -44,8 +52,8 @@ supremum phase count as a single unit of charged work.
 
 from __future__ import annotations
 
-import itertools
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -54,7 +62,7 @@ from scipy.optimize import linprog
 from repro.errors import AnalysisError
 from repro.logic.delays import Interval
 from repro.mct.discretize import DiscretizedMachine, TimedLeaf
-from repro.mct.feasibility import TauRange, point_sigma_sup_tau
+from repro.mct.feasibility import TauRange, age_tau_range, point_sigma_sup_tau
 from repro.mct.lp_stats import LpStats
 from repro.timed.paths import TimedPath, enumerate_paths
 
@@ -83,6 +91,39 @@ def _survivor_order(entry):
     if relaxed is None:
         return (0, 0, combo)
     return (1, -relaxed, combo)
+
+
+class _RankedSurvivors(Sequence):
+    """The prescreen's survivors in :func:`_survivor_order`, built lazily.
+
+    Entry ``i`` is the ``(relaxed, combo)`` pair of the i-th σ to visit.
+    The bound prune usually stops the loop after a handful of entries,
+    so a pair is assembled only when it is indexed: ``template`` holds
+    the ages of the single-option leaves, and each multi-option leaf
+    ``(position, ages)`` reads its option index from its column.
+    ``sups`` are ranks into ``values``; ``len(values)`` is the rank of
+    an unbounded supremum.
+    """
+
+    def __init__(self, template, axes, columns, sups, values):
+        self._template = template
+        self._axes = axes
+        self._columns = columns
+        self._sups = sups
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._sups)
+
+    def __getitem__(self, idx: int) -> tuple[Fraction | None, tuple[int, ...]]:
+        if not 0 <= idx < len(self._sups):
+            raise IndexError(idx)
+        combo = list(self._template)
+        for (pos, ages), column in zip(self._axes, self._columns):
+            combo[pos] = ages[column[idx]]
+        rank = int(self._sups[idx])
+        relaxed = self._values[rank] if rank < len(self._values) else None
+        return (relaxed, tuple(combo))
 
 
 class ExactFeasibility:
@@ -306,9 +347,8 @@ class ExactFeasibility:
         Returns ``None`` for "all infeasible"; raises
         :class:`AnalysisError` when the product exceeds the cap (the
         caller should fall back to the relaxed bound).  A cooperative
-        ``deadline`` is polled throughout — once per prescreened σ as
-        well as before each LP solve — so a wall-clock limit holds even
-        when thousands of σ's are skipped without solving.
+        ``deadline`` is polled once per leaf while the prescreen builds
+        its age-range table and once before each LP solve.
 
         ``shard_dispatch(leaves, survivors, window)`` optionally solves
         a large survivor list in parallel shards; it must return one
@@ -324,25 +364,12 @@ class ExactFeasibility:
                 raise AnalysisError(
                     f"{total} combinations exceed the exact-LP cap"
                 )
-        # Interval prescreen: drop relaxed-infeasible σ's without an LP
-        # and record each survivor's relaxed supremum for the ordering.
-        survivors: list[tuple[Fraction | None, tuple[int, ...]]] = []
-        for combo in itertools.product(*(options[tl] for tl in leaves)):
-            if deadline is not None:
-                deadline.check("exact LP prescreen")
-            feasible, relaxed = point_sigma_sup_tau(
-                dict(zip(leaves, combo)), window
-            )
-            if not feasible:
-                self.stats.prescreen_skips += 1
-                continue
-            survivors.append((relaxed, combo))
-        survivors.sort(key=_survivor_order)
+        survivors = self._prescreen(leaves, options, window, deadline)
         if (
             shard_dispatch is not None
             and len(survivors) >= SHARD_MIN_SURVIVORS
         ):
-            results = shard_dispatch(leaves, survivors, window)
+            results = shard_dispatch(leaves, list(survivors), window)
             self.stats.shard_dispatches += len(results)
             best: Fraction | None = None
             for shard_best, stats_dict in results:
@@ -354,6 +381,81 @@ class ExactFeasibility:
                     best = shard_best
             return best
         return self.solve_batch(leaves, survivors, window, deadline)
+
+    def _prescreen(
+        self,
+        leaves: list[TimedLeaf],
+        options: dict[TimedLeaf, tuple[int, ...]],
+        window: TauRange | None,
+        deadline,
+    ) -> Sequence:
+        """Relaxed-feasible σ's of the product, in survivor order.
+
+        Equal, entry for entry, to running :func:`point_sigma_sup_tau`
+        on every σ of ``itertools.product`` and sorting the feasible
+        ones by :func:`_survivor_order`; infeasible σ's are charged to
+        ``prescreen_skips``.  A σ's relaxed τ-set is ``[max lo, min hi)``
+        over the window and its leaves' age ranges, so the product is
+        scored as a broadcast max/min of integer endpoint ranks.
+        """
+        floor, top = window if window is not None else (Fraction(0), None)
+        ranges = []
+        for tl in leaves:
+            if deadline is not None:
+                deadline.check("exact LP prescreen")
+            ranges.append([age_tau_range(tl.total, age) for age in options[tl]])
+        if not leaves:
+            return [(top, ())]  # the empty σ: its τ-set is the window
+        # Rank every distinct endpoint.  A set keeps the first of equal
+        # elements, so the window top's own object reports a tie.
+        points = {top} if top is not None else set()
+        points.add(floor)
+        for rs in ranges:
+            for r in rs:
+                if r is not None:
+                    points.update(v for v in r if v is not None)
+        values = sorted(points)
+        rank = {v: i for i, v in enumerate(values)}
+        unbounded = len(values)
+        lo = rank[floor]
+        hi = unbounded if top is None else rank[top]
+        template: list[int | None] = []
+        axes, los, his = [], [], []
+        for pos, (tl, rs) in enumerate(zip(leaves, ranges)):
+            # An empty range gets a top below every rank: never feasible.
+            leaf_lo = [0 if r is None else rank[r[0]] for r in rs]
+            leaf_hi = [
+                -1 if r is None else unbounded if r[1] is None else rank[r[1]]
+                for r in rs
+            ]
+            if len(rs) == 1:
+                template.append(options[tl][0])
+                lo, hi = max(lo, leaf_lo[0]), min(hi, leaf_hi[0])
+                continue
+            template.append(None)
+            axes.append((pos, options[tl]))
+            los.append(np.array(leaf_lo))
+            his.append(np.array(leaf_hi))
+        shape = tuple(len(a) for a in los)
+        lo_grid = np.full(shape, lo)
+        hi_grid = np.full(shape, hi)
+        for axis, (leaf_lo, leaf_hi) in enumerate(zip(los, his)):
+            view = [1] * len(shape)
+            view[axis] = -1
+            np.maximum(lo_grid, leaf_lo.reshape(view), out=lo_grid)
+            np.minimum(hi_grid, leaf_hi.reshape(view), out=hi_grid)
+        hi_flat = hi_grid.reshape(-1)
+        keep = np.flatnonzero(lo_grid.reshape(-1) < hi_flat)
+        self.stats.prescreen_skips += hi_flat.size - keep.size
+        coords = np.unravel_index(keep, shape) if shape else ()
+        sups = hi_flat[keep]
+        # Descending supremum (unbounded first), then the age tuple;
+        # np.lexsort's primary key is its last.
+        age_keys = [np.array(ages)[c] for (_, ages), c in zip(axes, coords)]
+        order = np.lexsort((*reversed(age_keys), -sups))
+        return _RankedSurvivors(
+            template, axes, [c[order] for c in coords], sups[order], values
+        )
 
     def solve_batch(
         self,

@@ -32,8 +32,8 @@ class LpStats:
 
     #: Linear programs actually handed to the solver.
     solves: int = 0
-    #: σ's skipped because the relaxed per-leaf τ-set was empty or its
-    #: supremum could not beat the best exact τ already found.
+    #: σ's skipped without an LP because their relaxed per-leaf τ-set
+    #: was empty (bound-pruned σ's count under ``bound_prunes``).
     prescreen_skips: int = 0
     #: σ's discarded wholesale once the descending relaxed-sup order
     #: guaranteed no remaining combination can improve the maximum.

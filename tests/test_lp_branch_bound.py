@@ -16,10 +16,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.benchgen import paper_example2, random_fsm
+from repro.benchgen import interval_bank, paper_example2, random_fsm
 from repro.errors import AnalysisError, DeadlineExceeded, OptionsError
 from repro.logic import Interval
 from repro.mct.breakpoints import tau_breakpoints
@@ -31,7 +31,11 @@ from repro.mct.engine import (
     minimum_cycle_time,
 )
 from repro.mct.feasibility import point_sigma_sup_tau
-from repro.mct.lp_exact import SHARD_MIN_SURVIVORS, ExactFeasibility
+from repro.mct.lp_exact import (
+    SHARD_MIN_SURVIVORS,
+    ExactFeasibility,
+    _survivor_order,
+)
 from repro.mct.lp_stats import LpStats
 from repro.parallel.pool import shard_interleaved
 from repro.parallel.supervise import Quarantined
@@ -263,6 +267,82 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
+# The whole-product prescreen against the per-σ loop it replaced
+# ----------------------------------------------------------------------
+def per_sigma_prescreen(options, window):
+    """Reference: ``point_sigma_sup_tau`` on every σ, then the sort."""
+    leaves = list(options)
+    survivors, skips = [], 0
+    for combo in itertools.product(*(options[tl] for tl in leaves)):
+        feasible, relaxed = point_sigma_sup_tau(dict(zip(leaves, combo)), window)
+        if not feasible:
+            skips += 1
+            continue
+        survivors.append((relaxed, combo))
+    survivors.sort(key=_survivor_order)
+    return survivors, skips
+
+
+#: Endpoints include 0 (zero-delay leaves, open window floors) and
+#: values shared across leaves (tied suprema).
+ENDPOINTS = st.sampled_from(
+    [Fraction(v) for v in ("0", "1/3", "1", "2", "5/2", "4")]
+)
+
+
+@st.composite
+def prescreen_cases(draw):
+    single = draw(st.booleans())
+    options = {}
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        lo = draw(ENDPOINTS)
+        width = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2)]))
+        ages = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=4),
+                min_size=1,
+                max_size=1 if single else 3,
+            )
+        )
+        options[TimedLeaf(f"n{i}", Interval.of(lo, lo + width))] = tuple(ages)
+    window = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(ENDPOINTS, st.none()),
+            st.tuples(ENDPOINTS, ENDPOINTS),
+        )
+    )
+    return options, window
+
+
+ZERO = TimedLeaf("z", Interval.of(0, 0))
+POS = TimedLeaf("p", Interval.of(2, 3))
+WIDE = TimedLeaf("w", Interval.of(1, 4))
+
+
+class TestVectorizedPrescreen:
+    @settings(max_examples=300, deadline=None)
+    @given(case=prescreen_cases())
+    # Zero-delay leaf at age 0 (unbounded) and at age 2 (empty range:
+    # lo >= hi), no window; age 0 on a positive leaf.
+    @example(case=({ZERO: (0, 2), POS: (1, 2)}, None))
+    @example(case=({POS: (0, 1, 2), WIDE: (1, 2)}, (Fraction(1), Fraction(4))))
+    # Unbounded window top; duplicate ages in one option tuple.
+    @example(case=({WIDE: (2, 1, 2), POS: (2, 2)}, (Fraction(1), None)))
+    # Every leaf has exactly one option: the product is one σ.
+    @example(case=({ZERO: (0,), POS: (2,), WIDE: (1,)}, (Fraction(1), Fraction(4))))
+    @example(case=({POS: (0,)}, None))
+    def test_matches_per_sigma_loop(self, case):
+        options, window = case
+        expected, skips = per_sigma_prescreen(options, window)
+        oracle, _, _ = stem_oracle()
+        got = oracle._prescreen(list(options), options, window, None)
+        assert list(got) == expected
+        assert len(got) == len(expected)
+        assert oracle.stats.prescreen_skips == skips
+
+
+# ----------------------------------------------------------------------
 # Tentpole: sharded solving
 # ----------------------------------------------------------------------
 class TestSharding:
@@ -276,8 +356,6 @@ class TestSharding:
             )
             if feasible:
                 survivors.append((relaxed, combo))
-        from repro.mct.lp_exact import _survivor_order
-
         survivors.sort(key=_survivor_order)
         return leaves, survivors
 
@@ -368,6 +446,26 @@ class TestSharding:
             (r.tau, r.status, r.m, r.rung) for r in sharded.candidates
         ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
         assert sharded.failing_window == serial.failing_window
+
+
+    def test_engine_sweep_reaches_the_shard_dispatch(self):
+        """Example 2 yields one survivor and never dispatches; a 4-hold
+        interval bank yields 16, past ``SHARD_MIN_SURVIVORS``, so the
+        fully materialized survivor list goes to the shard pool."""
+        circuit, delays = interval_bank(n_holds=4)
+        serial = minimum_cycle_time(
+            circuit, delays, MctOptions(exact_feasibility=True)
+        )
+        sharded = minimum_cycle_time(
+            circuit, delays, MctOptions(exact_feasibility=True, lp_shards=2)
+        )
+        assert sharded.mct_upper_bound == serial.mct_upper_bound == Fraction(21, 5)
+        assert [
+            (r.tau, r.status, r.m, r.rung) for r in sharded.candidates
+        ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
+        stats = sharded.lp_stats
+        assert stats.shard_dispatches > 0
+        assert stats.solves + stats.prescreen_skips + stats.bound_prunes == 16
 
 
 # ----------------------------------------------------------------------

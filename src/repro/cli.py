@@ -197,7 +197,6 @@ def cmd_analyze(args) -> int:
     for flag, value in (
         ("--max-exact-paths", args.max_exact_paths),
         ("--max-exact-combos", args.max_exact_combos),
-        ("--lp-shards", args.lp_shards),
     ):
         if value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
@@ -268,7 +267,6 @@ def cmd_analyze(args) -> int:
             exact_feasibility=args.exact,
             max_exact_paths=args.max_exact_paths,
             max_exact_combinations=args.max_exact_combos,
-            lp_shards=args.lp_shards,
         )
     except OptionsError as exc:
         # Safety net behind the flag-named checks above: every knob is
@@ -817,11 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "exact LP; above it the sweep falls back to the "
                         "relaxed bound (resource knob, excluded from the "
                         "checkpoint fingerprint)")
-    p.add_argument("--lp-shards", type=int, default=1, metavar="N",
-                   help="solve surviving exact-LP programs on N worker "
-                        "processes per window (same bound as serial; "
-                        "execution knob, excluded from the checkpoint "
-                        "fingerprint)")
     p.add_argument("--stats", action="store_true",
                    help="print BDD-engine counters (ite calls, cache hit "
                         "rate, GC runs) and, under --exact, the exact-LP "

@@ -54,6 +54,7 @@ from repro.mct.decision import DecisionContext
 from repro.mct.discretize import DiscretizedMachine, build_discretized_machine
 from repro.mct.feasibility import sigma_sup_tau
 from repro.mct.lp_stats import LpStats
+from repro.parallel.pool import resolve_jobs
 from repro.parallel.supervise import Quarantined, RetryPolicy, SupervisionStats
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
@@ -102,14 +103,6 @@ class MctOptions:
     exact_feasibility: bool = False
     max_exact_paths: int = 10_000
     max_exact_combinations: int = 256
-    #: Shard a large exact-LP survivor set across this many supervised
-    #: worker processes (1 = solve in-process).  A pure execution knob
-    #: like ``jobs``: the branch-and-bound max-merge is deterministic,
-    #: so the bound and candidates are identical at any shard count,
-    #: and the knob is not part of the checkpoint fingerprint.  Pool
-    #: and cluster workers clamp it to 1 — their LP work is already
-    #: distributed at window granularity.
-    lp_shards: int = 1
     #: Graceful-degradation rungs tried (in order) when a window
     #: exhausts its budget/deadline; a subset of :data:`DEFAULT_LADDER`.
     #: Empty (the default) fails fast exactly like the seed behaviour.
@@ -161,8 +154,11 @@ class MctOptions:
             raise OptionsError("max_exact_paths must be positive")
         if self.max_exact_combinations < 1:
             raise OptionsError("max_exact_combinations must be positive")
-        if self.lp_shards < 1:
-            raise OptionsError("lp_shards must be positive")
+        # The sweep caps: max_age divides L for the default τ floor, and
+        # a cap below 1 would stop the sweep before it examines anything.
+        for name in ("max_age", "degraded_max_age", "max_candidates"):
+            if getattr(self, name) < 1:
+                raise OptionsError(f"{name} must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,8 +327,7 @@ def minimum_cycle_time(
     and cancels jobs through them) and, like ``jobs``, never enter the
     checkpoint fingerprint.
     """
-    if int(jobs) < 0:
-        raise OptionsError(f"jobs must be >= 0, got {jobs}")
+    jobs = resolve_jobs(jobs)
     options = options or MctOptions()
     start = time.monotonic()
     deadline = Deadline.after(options.time_limit)
@@ -383,9 +378,9 @@ def _fingerprint(options: MctOptions) -> dict:
     ``work_budget`` and ``time_limit`` are deliberately absent: they
     describe *resources*, not the analysis, and resuming with more of
     either is the normal use.  Execution-side options are excluded for
-    the same reason — ``retry_policy``, the heartbeat knobs, ``jobs``,
-    ``lp_shards``, and the transport identity (local pool vs. socket
-    cluster) never enter the fingerprint, so a checkpoint written by
+    the same reason — ``retry_policy``, the heartbeat knobs, ``jobs``
+    and the transport identity (local pool vs. socket cluster) never
+    enter the fingerprint, so a checkpoint written by
     any execution configuration resumes under any other.  The exact-LP
     caps (``max_exact_paths`` / ``max_exact_combinations``) are also
     resource ceilings, not analysis choices, and stay out for the same
@@ -540,10 +535,9 @@ def decide_window(
     ladder (:meth:`_Sweep._examine`) and the parallel window workers
     (:mod:`repro.parallel.windows`).  ``oracle_factory`` lazily builds
     the exact gate-coupled LP oracle; it is only invoked when failing
-    combinations actually need filtering.  With ``options.lp_shards >
-    1`` a supervised shard pool (built lazily, torn down before
-    returning) solves large survivor sets in parallel — the verdict is
-    identical, only the wall clock changes.
+    combinations actually need filtering; each option set's exact bound
+    is then found in-process by the branch-and-bound loop of
+    :meth:`~repro.mct.lp_exact.ExactFeasibility.sup_tau_options`.
     """
     outcome = context.decide(regime)
     if outcome.passed_structurally:
@@ -560,43 +554,20 @@ def decide_window(
             roots=outcome.failing_roots,
         )
     oracle = oracle_factory() if oracle_factory is not None else None
-    shard_runner = None
     feasible = []
-    try:
-        for sigma in outcome.failing_options:
-            sup = sigma_sup_tau(sigma, window, deadline=deadline)
-            if sup is None:
-                continue
-            if oracle is not None:
-                if shard_runner is None and options.lp_shards > 1:
-                    from repro.parallel.windows import LpShardRunner
-
-                    shard_runner = LpShardRunner(
-                        oracle,
-                        shards=options.lp_shards,
-                        policy=options.retry_policy,
-                        deadline=deadline,
-                    )
-                exact_sup = _exact_sup(
-                    oracle,
-                    sigma,
-                    window,
-                    options,
-                    deadline,
-                    shard_dispatch=(
-                        shard_runner.dispatch if shard_runner else None
-                    ),
-                )
-                if exact_sup is _RELAXED:
-                    pass  # fell back: keep the relaxed sup
-                elif exact_sup is None:
-                    continue  # coupled LP proves σ unrealizable
-                else:
-                    sup = exact_sup
-            feasible.append((sigma, sup))
-    finally:
-        if shard_runner is not None:
-            shard_runner.shutdown()
+    for sigma in outcome.failing_options:
+        sup = sigma_sup_tau(sigma, window, deadline=deadline)
+        if sup is None:
+            continue
+        if oracle is not None:
+            exact_sup = _exact_sup(oracle, sigma, window, options, deadline)
+            if exact_sup is _RELAXED:
+                pass  # fell back: keep the relaxed sup
+            elif exact_sup is None:
+                continue  # coupled LP proves σ unrealizable
+            else:
+                sup = exact_sup
+        feasible.append((sigma, sup))
     if not feasible:
         return _Verdict("pass-infeasible", outcome.m)
     return _Verdict(
@@ -630,7 +601,7 @@ class _Sweep:
         self.budget = budget
         self.deadline = deadline
         self.start = start
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         self.transport = transport
         self.progress = progress
         self.cancel = cancel
@@ -1221,7 +1192,6 @@ def _exact_sup(
     window,
     options: MctOptions,
     deadline=None,
-    shard_dispatch=None,
 ):
     """Exact τ(σ) over an age-option set; ``_RELAXED`` on fallback."""
     try:
@@ -1230,7 +1200,6 @@ def _exact_sup(
             window,
             max_combinations=options.max_exact_combinations,
             deadline=deadline,
-            shard_dispatch=shard_dispatch,
         )
     except AnalysisError:
         return _RELAXED

@@ -38,10 +38,11 @@ is a branch-and-bound search rather than a blind loop:
   the best exact value already found, *no* remaining σ can, and the
   rest of the list is discarded in one step.  Pruning never changes
   the returned maximum — only how much work finds it.
-* **sharded solving**: an optional ``shard_dispatch`` callback hands
-  the ordered survivor list to :mod:`repro.parallel` in deterministic
-  shards with a max-merge (see
-  :class:`repro.parallel.windows.LpShardRunner`).
+
+The loop runs in-process: on the ``interval_bank`` workloads the first
+LP already prunes the rest of the list, and splitting the survivors
+across processes would add start-up cost and weaken that prune (each
+part prunes only against its own best).
 
 Work accounting lives in :class:`repro.mct.lp_stats.LpStats`; every
 ``sup_tau_options`` call preserves the identity ``solves +
@@ -70,11 +71,6 @@ from repro.timed.paths import TimedPath, enumerate_paths
 #: LP solver's feasibility tolerance (HiGHS defaults to 1e-7) or strict
 #: inequalities silently degrade to non-strict ones.
 EPSILON = 1e-6
-
-#: Below this many surviving combinations a shard dispatch costs more
-#: than it saves; the branch-and-bound loop then solves serially even
-#: when a dispatcher is offered.
-SHARD_MIN_SURVIVORS = 8
 
 #: Sentinel: the caller did not precompute the relaxed supremum.
 _UNSET = object()
@@ -337,7 +333,6 @@ class ExactFeasibility:
         window: TauRange | None = None,
         max_combinations: int = 256,
         deadline=None,
-        shard_dispatch=None,
     ) -> Fraction | None:
         """Max τ(σ) over the cartesian product of age options.
 
@@ -349,12 +344,6 @@ class ExactFeasibility:
         caller should fall back to the relaxed bound).  A cooperative
         ``deadline`` is polled once per leaf while the prescreen builds
         its age-range table and once before each LP solve.
-
-        ``shard_dispatch(leaves, survivors, window)`` optionally solves
-        a large survivor list in parallel shards; it must return one
-        ``(best, stats_dict_or_None)`` pair per shard (the max-merge
-        here is order-independent, so sharding cannot change the
-        result).
         """
         leaves = list(options)
         total = 1
@@ -365,22 +354,19 @@ class ExactFeasibility:
                     f"{total} combinations exceed the exact-LP cap"
                 )
         survivors = self._prescreen(leaves, options, window, deadline)
-        if (
-            shard_dispatch is not None
-            and len(survivors) >= SHARD_MIN_SURVIVORS
-        ):
-            results = shard_dispatch(leaves, list(survivors), window)
-            self.stats.shard_dispatches += len(results)
-            best: Fraction | None = None
-            for shard_best, stats_dict in results:
-                if stats_dict is not None:
-                    self.stats.merge(LpStats.from_dict(stats_dict))
-                if shard_best is not None and (
-                    best is None or shard_best > best
-                ):
-                    best = shard_best
-            return best
-        return self.solve_batch(leaves, survivors, window, deadline)
+        best: Fraction | None = None
+        for idx, (relaxed, combo) in enumerate(survivors):
+            if best is not None and relaxed is not None and relaxed <= best:
+                # exact ≤ relaxed and the list is descending: nothing
+                # past this point can improve the maximum.
+                self.stats.bound_prunes += len(survivors) - idx
+                break
+            if deadline is not None:
+                deadline.check("exact LP")
+            value = self.sup_tau(dict(zip(leaves, combo)), window, relaxed)
+            if value is not None and (best is None or value > best):
+                best = value
+        return best
 
     def _prescreen(
         self,
@@ -456,32 +442,3 @@ class ExactFeasibility:
         return _RankedSurvivors(
             template, axes, [c[order] for c in coords], sups[order], values
         )
-
-    def solve_batch(
-        self,
-        leaves: list[TimedLeaf],
-        survivors: list[tuple[Fraction | None, tuple[int, ...]]],
-        window: TauRange | None = None,
-        deadline=None,
-        best: Fraction | None = None,
-    ) -> Fraction | None:
-        """Solve one prescreened, descending-ordered survivor list.
-
-        The serial core of the branch-and-bound loop and the unit of
-        work a parallel shard executes.  ``survivors`` must be sorted
-        by :func:`_survivor_order` (each shard of an interleaved split
-        preserves that order); the bound prune then discards the whole
-        tail at the first σ whose relaxed supremum cannot beat ``best``.
-        """
-        for idx, (relaxed, combo) in enumerate(survivors):
-            if best is not None and relaxed is not None and relaxed <= best:
-                # exact ≤ relaxed and the list is descending: nothing
-                # past this point can improve the maximum.
-                self.stats.bound_prunes += len(survivors) - idx
-                break
-            if deadline is not None:
-                deadline.check("exact LP")
-            value = self.sup_tau(dict(zip(leaves, combo)), window, relaxed)
-            if value is not None and (best is None or value > best):
-                best = value
-        return best

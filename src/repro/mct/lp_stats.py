@@ -41,7 +41,10 @@ class LpStats:
     #: Per-(path, age) constraint row pairs served from the skeleton
     #: cache instead of being rebuilt.
     skeleton_hits: int = 0
-    #: σ batches dispatched to parallel shard workers (0 on serial).
+    #: Always 0: survivor lists are no longer split across worker
+    #: processes.  Kept so the ``as_dict`` key set (read by the
+    #: benchmark tooling and stored in ``BENCH_mct.json``) and older
+    #: checkpoint payloads that carry the key stay unchanged.
     shard_dispatches: int = 0
     #: Wall-clock seconds spent inside LP solves.
     wall_seconds: float = 0.0

@@ -8,7 +8,7 @@ wire forms and the validation of the ``--jobs`` knob.
 
 from __future__ import annotations
 
-from repro.errors import Budget
+from repro.errors import Budget, OptionsError
 from repro.resilience.deadline import Deadline
 
 #: Wire form of a deadline: ``(seconds, monotonic_start)``.
@@ -18,29 +18,17 @@ DeadlinePayload = tuple[float, float]
 def resolve_jobs(jobs: int | None) -> int:
     """Normalize a ``--jobs`` value to a worker count ≥ 1.
 
-    ``None`` and 0 mean "serial" (1); negative counts are rejected —
-    there is no "all cores" convention here, an explicit count keeps
-    runs reproducible across machines.
+    ``None`` and 0 mean "serial" (1); negative counts raise
+    :class:`~repro.errors.OptionsError` — there is no "all cores"
+    convention here, an explicit count keeps runs reproducible across
+    machines.
     """
     if jobs is None:
         return 1
     jobs = int(jobs)
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise OptionsError(f"jobs must be >= 0, got {jobs}")
     return max(1, jobs)
-
-
-def shard_interleaved(items: list, shards: int) -> list[list]:
-    """Deterministic round-robin split of an ordered work list.
-
-    Shard ``i`` gets ``items[i::shards]``, so a list sorted by
-    descending difficulty stays descending *within* every shard (the
-    exact-LP bound prune relies on that) and the load spreads evenly.
-    Empty shards are dropped; the split depends only on ``items`` and
-    ``shards``, never on timing.
-    """
-    shards = max(1, int(shards))
-    return [items[i::shards] for i in range(shards) if items[i::shards]]
 
 
 def deadline_payload(deadline: Deadline | None) -> DeadlinePayload | None:

@@ -6,7 +6,10 @@ SIGTERM) breaks the whole pool and every pending future raises
 :class:`BrokenExecutor` — which previously aborted the entire τ-sweep,
 throwing away every already-decided window.  Symbolic timing workloads
 are exactly the kind where individual tasks blow up unpredictably, so
-the pools are now driven through a :class:`Supervisor` that
+both process pools — the breakpoint-window pool of
+:mod:`repro.parallel.windows` and the suite-row pool of
+:mod:`repro.parallel.suite` — are driven through a :class:`Supervisor`
+that
 
 * **detects crashes** (``BrokenExecutor``) and rebuilds the pool,
   resubmitting every uncollected task so no work is silently lost;
@@ -258,18 +261,6 @@ class Supervisor:
             else:
                 self._tasks.remove(handle)
                 return payload
-
-    def map_ordered(self, fn, batches) -> list:
-        """Submit one task per argument tuple; collect in list order.
-
-        The batch counterpart of :meth:`submit`/:meth:`result` used by
-        the exact-LP shard runner: every batch is in flight at once,
-        results come back positionally, and each element is either the
-        task's payload or a :class:`Quarantined` marker the caller must
-        resolve itself.
-        """
-        handles = [self.submit(fn, *args) for args in batches]
-        return [self.result(handle) for handle in handles]
 
     def shutdown(self) -> None:
         """Stop the pool without waiting for abandoned speculation."""

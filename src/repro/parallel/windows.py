@@ -30,7 +30,6 @@ worker is quarantined for the sweep loop to decide in-process.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -44,15 +43,9 @@ from repro.parallel.pool import (
     deadline_payload,
     resolve_jobs,
     restore_deadline,
-    shard_interleaved,
     worker_budget_limit,
 )
-from repro.parallel.supervise import (
-    Quarantined,
-    RetryPolicy,
-    Supervisor,
-    TaskHandle,
-)
+from repro.parallel.supervise import RetryPolicy, Supervisor, TaskHandle
 from repro.resilience.faults import maybe_kill_worker, worker_kill_limit
 
 #: Per-process worker state, populated by :func:`_worker_init`.
@@ -91,12 +84,6 @@ def build_decider_state(circuit, delays, config) -> dict:
 
     state: dict = {"seq": 0}
     options = config["options"]
-    if options.lp_shards != 1:
-        # A window worker's exact-LP work is already distributed at
-        # window granularity (one window per task); nesting a shard
-        # pool inside a pool or cluster worker would only oversubscribe
-        # the machine.
-        options = dataclasses.replace(options, lp_shards=1)
     try:
         deadline = restore_deadline(config["deadline"])
         limit = config["budget_limit"]
@@ -315,128 +302,4 @@ class WindowDecider:
 
     def shutdown(self) -> None:
         """Stop the pool without waiting for abandoned speculation."""
-        self._supervisor.shutdown()
-
-
-# ----------------------------------------------------------------------
-# Exact-LP shard workers
-# ----------------------------------------------------------------------
-
-#: Per-process LP shard worker state, populated by :func:`_lp_worker_init`.
-_LP_STATE: dict = {}
-
-
-def _lp_worker_init(machine, max_paths, deadline_pay) -> None:
-    """Shard-pool initializer: rebuild the exact oracle once per process."""
-    _reset_sigterm()
-    _LP_STATE.clear()
-    try:
-        from repro.mct.lp_exact import ExactFeasibility
-
-        _LP_STATE["oracle"] = ExactFeasibility(machine, max_paths=max_paths)
-        _LP_STATE["deadline"] = restore_deadline(deadline_pay)
-    except Exception as exc:  # pragma: no cover - defensive
-        _LP_STATE["init_error"] = f"{type(exc).__name__}: {exc}"
-
-
-def _lp_shard_task(leaves, shard, window) -> dict:
-    """Solve one prescreened survivor shard; always returns a payload.
-
-    Mirrors the window-task convention: no exception crosses the
-    process boundary, the result is ``{"best", "stats"}`` on success
-    and ``{"error", "detail"}`` otherwise.  ``stats`` is the *delta* of
-    this task (the oracle's counters are reset per shard), so the
-    parent can merge payloads without double counting.
-    """
-    error = _LP_STATE.get("init_error")
-    if error is not None:
-        return {"error": "init", "detail": error}
-    from repro.mct.lp_stats import LpStats
-
-    oracle = _LP_STATE["oracle"]
-    oracle.stats = LpStats()
-    try:
-        best = oracle.solve_batch(
-            leaves, shard, window, deadline=_LP_STATE["deadline"]
-        )
-    except DeadlineExceeded as exc:
-        return {"error": "deadline", "detail": str(exc)}
-    except Exception as exc:
-        return {"error": "error", "detail": f"{type(exc).__name__}: {exc}"}
-    return {"best": best, "stats": oracle.stats.as_dict()}
-
-
-class LpShardRunner:
-    """A supervised process pool for exact-LP survivor shards.
-
-    The branch-and-bound loop of
-    :meth:`repro.mct.lp_exact.ExactFeasibility.sup_tau_options` hands
-    its ordered survivor list to :meth:`dispatch`, which splits it
-    round-robin (:func:`repro.parallel.pool.shard_interleaved`), solves
-    every shard on the pool, and returns per-shard ``(best, stats)``
-    pairs for the caller's deterministic max-merge.  Worker failures
-    never change the answer: a quarantined, init-broken, or errored
-    shard is re-solved in-process on the parent's own oracle (its
-    counters then charge the parent directly, so the pair carries
-    ``stats=None``).  Like the window pool, processes spawn on first
-    use and the per-task retry/timeout ladder is the sweep's
-    :class:`~repro.parallel.supervise.RetryPolicy`.
-    """
-
-    def __init__(
-        self,
-        oracle,
-        *,
-        shards: int,
-        policy: RetryPolicy | None = None,
-        deadline=None,
-    ):
-        self.oracle = oracle
-        self.shards = max(1, int(shards))
-        self.deadline = deadline
-        self._initargs = (
-            oracle.machine,
-            oracle.max_paths,
-            deadline_payload(deadline),
-        )
-        self._supervisor = Supervisor(
-            self._spawn, policy=policy, deadline=deadline
-        )
-
-    def _spawn(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.shards,
-            initializer=_lp_worker_init,
-            initargs=self._initargs,
-        )
-
-    def dispatch(self, leaves, survivors, window) -> list:
-        """Solve one ordered survivor list; one ``(best, stats)`` per shard."""
-        shards = shard_interleaved(survivors, self.shards)
-        outcomes = self._supervisor.map_ordered(
-            _lp_shard_task, [(leaves, shard, window) for shard in shards]
-        )
-        results = []
-        for shard, outcome in zip(shards, outcomes):
-            if not isinstance(outcome, Quarantined):
-                if outcome.get("error") == "deadline":
-                    # The absolute expiry shipped to the worker, so the
-                    # parent's clock agrees; check() raises the real
-                    # DeadlineExceeded with parent-side context.
-                    if self.deadline is not None:
-                        self.deadline.check("exact LP shard")
-                elif outcome.get("error") is None:
-                    results.append((outcome["best"], outcome["stats"]))
-                    continue
-            # Fallback of last resort: solve the shard here.  Identical
-            # bound (the max-merge is order- and location-independent),
-            # degraded wall clock only.
-            best = self.oracle.solve_batch(
-                leaves, shard, window, deadline=self.deadline
-            )
-            results.append((best, None))
-        return results
-
-    def shutdown(self) -> None:
-        """Stop the shard pool without waiting."""
         self._supervisor.shutdown()

@@ -34,6 +34,7 @@ from repro.delay import (
 from repro.errors import Budget, ResourceBudgetExceeded
 from repro.logic import Circuit, DelayMap
 from repro.mct import DEFAULT_LADDER, MctOptions, minimum_cycle_time
+from repro.parallel.pool import resolve_jobs
 from repro.report.tables import format_fraction, format_seconds, format_table
 
 
@@ -209,8 +210,10 @@ def run_suite(
     :class:`~repro.parallel.RetryPolicy` tuning the pool's crash
     recovery; ignored on the serial path.  ``transport`` (a
     :class:`~repro.parallel.SocketTransport`) shards the rows across
-    remote cluster workers instead of a local pool.
+    remote cluster workers instead of a local pool.  A negative ``jobs``
+    raises :class:`~repro.errors.OptionsError`.
     """
+    jobs = resolve_jobs(jobs)
     if jobs > 1 or transport is not None:
         from repro.parallel.suite import run_suite_sharded
 

@@ -92,20 +92,35 @@ _DELAY_MODELS = {
 
 _GENERATORS = ("example2", "s27")
 
+
+def _json_bool(value) -> bool:
+    """Only JSON ``true``/``false``: ``bool("false")`` would be True."""
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, not {value!r}")
+    return value
+
+
+def _json_int(value) -> int:
+    """Only a JSON integer: no bool, and no float silently truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
 #: ``options`` keys a submission may set, mapped to their coercion.
 _OPTION_FIELDS = {
-    "check_outputs": bool,
-    "use_reachability": bool,
-    "exact_feasibility": bool,
-    "max_age": int,
-    "max_candidates": int,
-    "max_failing_options": int,
-    "work_budget": int,
+    "check_outputs": _json_bool,
+    "use_reachability": _json_bool,
+    "exact_feasibility": _json_bool,
+    "max_age": _json_int,
+    "max_candidates": _json_int,
+    "max_failing_options": _json_int,
+    "work_budget": _json_int,
     "time_limit": float,
     "tau_floor": as_fraction,
-    "degrade": bool,
+    "degrade": _json_bool,
     "bdd_kernel": str,
-    "bdd_sift_threshold": int,
+    "bdd_sift_threshold": _json_int,
 }
 
 

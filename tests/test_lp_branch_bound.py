@@ -1,9 +1,9 @@
 """The exact-LP branch-and-bound fast path (perf tentpole).
 
-Contract under test: the prescreened, bound-pruned, optionally sharded
-``sup_tau_options`` returns *byte-identical* bounds to the blind
-cartesian-product loop it replaced — pruning and sharding change how
-much work finds the maximum, never the maximum itself — and every call
+Contract under test: the prescreened, bound-pruned ``sup_tau_options``
+returns *byte-identical* bounds to the blind cartesian-product loop it
+replaced — pruning changes how much work finds the maximum, never the
+maximum itself — and every call
 preserves the accounting identity ``solves + prescreen_skips +
 bound_prunes == enumerated combinations``.
 """
@@ -31,15 +31,8 @@ from repro.mct.engine import (
     minimum_cycle_time,
 )
 from repro.mct.feasibility import point_sigma_sup_tau
-from repro.mct.lp_exact import (
-    SHARD_MIN_SURVIVORS,
-    ExactFeasibility,
-    _survivor_order,
-)
+from repro.mct.lp_exact import ExactFeasibility, _survivor_order
 from repro.mct.lp_stats import LpStats
-from repro.parallel.pool import shard_interleaved
-from repro.parallel.supervise import Quarantined
-from repro.parallel.windows import LpShardRunner
 from repro.resilience.checkpoint import SweepCheckpoint
 from repro.resilience.deadline import Deadline
 
@@ -180,6 +173,18 @@ class TestBranchAndBound:
             oracle.sup_tau_options(options, self.WINDOW, max_combinations=8)
         assert oracle.stats.solves == 0
         assert oracle.stats.prescreen_skips == 0
+
+    def test_engine_sweep_accounts_every_combination(self):
+        """A 4-hold interval bank fails with one option set of 2**4 age
+        combinations; the engine's sweep finds the exact bound and
+        charges each of the 16 to exactly one counter."""
+        circuit, delays = interval_bank(n_holds=4)
+        result = minimum_cycle_time(
+            circuit, delays, MctOptions(exact_feasibility=True)
+        )
+        assert result.mct_upper_bound == Fraction(21, 5)
+        stats = result.lp_stats
+        assert stats.solves + stats.prescreen_skips + stats.bound_prunes == 16
 
 
 # ----------------------------------------------------------------------
@@ -343,132 +348,6 @@ class TestVectorizedPrescreen:
 
 
 # ----------------------------------------------------------------------
-# Tentpole: sharded solving
-# ----------------------------------------------------------------------
-class TestSharding:
-    def survivors(self, oracle, leaf_a, leaf_b, window):
-        options = {leaf_a: (1, 2, 3), leaf_b: (1, 2, 3)}
-        leaves = list(options)
-        survivors = []
-        for combo in itertools.product(*(options[tl] for tl in leaves)):
-            feasible, relaxed = point_sigma_sup_tau(
-                dict(zip(leaves, combo)), window
-            )
-            if feasible:
-                survivors.append((relaxed, combo))
-        survivors.sort(key=_survivor_order)
-        return leaves, survivors
-
-    def test_shard_interleaved_is_deterministic(self):
-        items = list(range(10))
-        assert shard_interleaved(items, 3) == [
-            [0, 3, 6, 9],
-            [1, 4, 7],
-            [2, 5, 8],
-        ]
-        assert shard_interleaved([], 3) == []
-        assert shard_interleaved(items, 1) == [items]
-
-    def test_dispatch_matches_serial_solve(self):
-        oracle, leaf_a, leaf_b = stem_oracle()
-        window = (Fraction(2), Fraction(8))
-        leaves, survivors = self.survivors(oracle, leaf_a, leaf_b, window)
-        assert survivors  # the comparison must exercise real work
-        serial_oracle, _, _ = stem_oracle()
-        serial = serial_oracle.solve_batch(leaves, survivors, window)
-        runner = LpShardRunner(oracle, shards=2)
-        try:
-            results = runner.dispatch(leaves, survivors, window)
-        finally:
-            runner.shutdown()
-        best = None
-        merged = LpStats()
-        for shard_best, stats_dict in results:
-            if stats_dict is not None:
-                merged.merge(LpStats.from_dict(stats_dict))
-            if shard_best is not None and (best is None or shard_best > best):
-                best = shard_best
-        assert best == serial
-        # Worker shards really ran and reported their counters.
-        assert merged.solves > 0
-
-    def test_quarantined_shard_falls_back_to_parent(self, monkeypatch):
-        oracle, leaf_a, leaf_b = stem_oracle()
-        window = (Fraction(2), Fraction(8))
-        leaves, survivors = self.survivors(oracle, leaf_a, leaf_b, window)
-        serial_oracle, _, _ = stem_oracle()
-        serial = serial_oracle.solve_batch(leaves, survivors, window)
-        runner = LpShardRunner(oracle, shards=2)
-        monkeypatch.setattr(
-            runner._supervisor,
-            "map_ordered",
-            lambda fn, batches: [Quarantined(3, "crash")] * len(batches),
-        )
-        try:
-            results = runner.dispatch(leaves, survivors, window)
-        finally:
-            runner.shutdown()
-        # Every shard was re-solved in the parent: stats=None pairs
-        # (the parent oracle charged itself), same merged maximum.
-        assert all(stats is None for _, stats in results)
-        best = max(
-            (b for b, _ in results if b is not None), default=None
-        )
-        assert best == serial
-        assert oracle.stats.solves > 0
-
-    def test_small_survivor_lists_never_dispatch(self):
-        oracle, leaf_a, leaf_b = stem_oracle()
-        calls = []
-
-        def spy(leaves, survivors, window):
-            calls.append(len(survivors))
-            return []
-
-        options = {leaf_a: (1,), leaf_b: (1,)}
-        window = (Fraction(5), Fraction(8))
-        oracle.sup_tau_options(options, window, shard_dispatch=spy)
-        assert calls == []  # 1 survivor < SHARD_MIN_SURVIVORS
-        assert oracle.stats.shard_dispatches == 0
-        assert 1 < SHARD_MIN_SURVIVORS
-
-    def test_engine_lp_shards_matches_serial(self):
-        circuit, delays = paper_example2()
-        delays = delays.widen(Fraction(9, 10))
-        serial = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True)
-        )
-        sharded = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True, lp_shards=3)
-        )
-        assert sharded.mct_upper_bound == serial.mct_upper_bound
-        assert [
-            (r.tau, r.status, r.m, r.rung) for r in sharded.candidates
-        ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
-        assert sharded.failing_window == serial.failing_window
-
-
-    def test_engine_sweep_reaches_the_shard_dispatch(self):
-        """Example 2 yields one survivor and never dispatches; a 4-hold
-        interval bank yields 16, past ``SHARD_MIN_SURVIVORS``, so the
-        fully materialized survivor list goes to the shard pool."""
-        circuit, delays = interval_bank(n_holds=4)
-        serial = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True)
-        )
-        sharded = minimum_cycle_time(
-            circuit, delays, MctOptions(exact_feasibility=True, lp_shards=2)
-        )
-        assert sharded.mct_upper_bound == serial.mct_upper_bound == Fraction(21, 5)
-        assert [
-            (r.tau, r.status, r.m, r.rung) for r in sharded.candidates
-        ] == [(r.tau, r.status, r.m, r.rung) for r in serial.candidates]
-        stats = sharded.lp_stats
-        assert stats.shard_dispatches > 0
-        assert stats.solves + stats.prescreen_skips + stats.bound_prunes == 16
-
-
-# ----------------------------------------------------------------------
 # Telemetry plumbing: LpStats, results, checkpoints
 # ----------------------------------------------------------------------
 class TestLpStats:
@@ -554,7 +433,11 @@ class TestKnobs:
             {"max_exact_paths": 0},
             {"max_exact_combinations": 0},
             {"max_exact_combinations": -3},
-            {"lp_shards": 0},
+            {"max_age": 0},
+            {"max_age": -2},
+            {"degraded_max_age": 0},
+            {"max_candidates": 0},
+            {"max_candidates": -1},
         ],
     )
     def test_non_positive_knobs_rejected(self, kwargs):
@@ -588,7 +471,6 @@ class TestKnobs:
                 exact_feasibility=True,
                 max_exact_paths=77,
                 max_exact_combinations=99,
-                lp_shards=4,
             )
         )
         assert base == tweaked
@@ -602,7 +484,6 @@ class TestKnobs:
         for flags in (
             ["--max-exact-paths", "0"],
             ["--max-exact-combos", "-1"],
-            ["--lp-shards", "0"],
         ):
             assert main(["analyze", str(path)] + flags) == 1
             assert "must be positive" in capsys.readouterr().err

@@ -244,9 +244,16 @@ class TestDegradedAgeCap:
 
 class TestJobsValidation:
     def test_negative_jobs_rejected(self):
+        from repro.parallel.suite import run_suite_sharded
+        from repro.report.harness import run_suite
+
         circuit, delays = paper_example2()
         with pytest.raises(OptionsError, match="jobs"):
             minimum_cycle_time(circuit, delays, jobs=-2)
+        # The suite entry points reject it the same way, before any row.
+        for entry in (run_suite, run_suite_sharded):
+            with pytest.raises(OptionsError, match="jobs"):
+                entry(cases=[], include_s27=False, jobs=-1)
 
     @pytest.mark.parametrize("jobs", [0, 1])
     def test_zero_and_one_run_serially(self, jobs):

@@ -888,6 +888,12 @@ class TestHttpHygiene:
             json.dumps({"circuit": {"kind": "bench",
                                     "source": "NOT A NETLIST("}}).encode(),
             json.dumps({**EXAMPLE2, "options": {"bdd_kernel": "bad"}}).encode(),
+            # Typed options are strict: no truthy strings, no truncation.
+            json.dumps({**EXAMPLE2, "options": {"check_outputs": "false"}}).encode(),
+            json.dumps({**EXAMPLE2, "options": {"exact_feasibility": "no"}}).encode(),
+            json.dumps({**EXAMPLE2, "options": {"max_age": 2.9}}).encode(),
+            # A degenerate sweep cap fails at submit, not inside the job.
+            json.dumps({**EXAMPLE2, "options": {"max_age": 0}}).encode(),
         ],
     )
     def test_malformed_submissions_get_400(self, body):

@@ -13,8 +13,8 @@ Architecture
 * ``kernel="object"`` — :mod:`repro.bdd.object_kernel`: the historical
   two-terminal store without complement edges, kept as a *cross-check
   oracle*: differential tests run both kernels against each other, and
-  any analysis accepts ``kernel=`` to reproduce a result on the
-  alternate substrate.
+  :func:`set_default_kernel` reruns any analysis on the alternate
+  substrate.
 
 Both kernels expose the same small primitive surface (`_ref_level`,
 `_ref_cofactors`, `_mk_sem`, `_not`, `_ite`, ...) over *semantically
@@ -78,8 +78,8 @@ FALSE = 0
 TRUE = 1
 
 #: Default for managers constructed with ``normalize_ite=None``.  The
-#: benchmark harness flips this to measure the pre-normalization
-#: baseline in the same process (see ``benchmarks/perf_baseline.py``).
+#: normalization ablation in ``tests/test_bdd_gc.py`` flips this to
+#: measure the pre-normalization baseline in the same process.
 _DEFAULT_NORMALIZE = True
 
 #: Default node-store kernel for ``BddManager(kernel=None)``.

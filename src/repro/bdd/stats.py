@@ -8,8 +8,8 @@ integer increments, always on, and surfaced three ways:
 * ``manager.stats`` — live counters of one manager;
 * :attr:`repro.mct.engine.MctResult.bdd_stats` — the merged counters
   of every decision context a τ-sweep used;
-* ``repro-mct analyze --stats`` / ``BENCH_mct.json`` — the operator
-  and benchmark views.
+* ``repro-mct analyze --stats`` and perfbench's traced counters — the
+  operator and benchmark views.
 
 ``merge`` sums counters across managers (peaks are summed too: the
 aggregate is the combined table footprint, which is what a memory
@@ -90,7 +90,7 @@ class BddStats:
         return cls(**{k: int(v) for k, v in data.items() if k in fields})
 
     def as_dict(self) -> dict:
-        """JSON-ready view (the ``BENCH_mct.json`` ``bdd`` object)."""
+        """JSON-ready view (checkpoints, the pool wire, table rows)."""
         return {
             "nodes_created": self.nodes_created,
             "peak_nodes": self.peak_nodes,

@@ -195,10 +195,11 @@ def cmd_analyze(args) -> int:
         print("error: --task-timeout must be positive", file=sys.stderr)
         return 1
     for flag, value in (
+        ("--budget", args.budget),
         ("--max-exact-paths", args.max_exact_paths),
         ("--max-exact-combos", args.max_exact_combos),
     ):
-        if value < 1:
+        if value is not None and value < 1:
             print(f"error: {flag} must be positive", file=sys.stderr)
             return 1
     if args.heartbeat_interval <= 0:
@@ -262,7 +263,6 @@ def cmd_analyze(args) -> int:
             ),
             heartbeat_interval=args.heartbeat_interval,
             heartbeat_timeout=args.heartbeat_timeout,
-            bdd_kernel=args.bdd_kernel,
             bdd_sift_threshold=args.bdd_sift_threshold,
             exact_feasibility=args.exact,
             max_exact_paths=args.max_exact_paths,
@@ -793,11 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reachability", action="store_true",
                    help="use reachable-state don't cares in the decision")
     p.add_argument("--budget", type=int, default=None, help="work budget")
-    p.add_argument("--bdd-kernel", choices=("array", "object"), default="array",
-                   help="BDD node-store kernel: 'array' (flat columns + "
-                        "complement edges, default) or 'object' (the "
-                        "historical store, kept as a cross-check oracle); "
-                        "both produce identical results")
     p.add_argument("--bdd-sift-threshold", type=int, default=None, metavar="N",
                    help="re-sift BDD variable orders dynamically once a "
                         "manager grows by N nodes (default: off)")

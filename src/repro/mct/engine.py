@@ -120,13 +120,6 @@ class MctOptions:
     #: part of the checkpoint fingerprint.
     heartbeat_interval: float = 0.5
     heartbeat_timeout: float = 2.5
-    #: BDD node-store kernel used by every decision context: ``"array"``
-    #: (flat columns + complement edges, the default) or ``"object"``
-    #: (the historical store, kept as a cross-check oracle).  Both
-    #: kernels are exact and produce identical sweeps, so this is a
-    #: representation knob like ``jobs``: not part of the checkpoint
-    #: fingerprint.
-    bdd_kernel: str = "array"
     #: Arm the BDD manager's dynamic sifting: re-sift the live functions
     #: once the node table grows by this many nodes (None = off, the
     #: default — sifting changes variable levels mid-sweep, which is
@@ -143,11 +136,11 @@ class MctOptions:
             raise OptionsError(
                 "heartbeat_timeout must be at least the heartbeat interval"
             )
-        if self.bdd_kernel not in ("array", "object"):
-            raise OptionsError(
-                f"unknown bdd_kernel {self.bdd_kernel!r}; "
-                "choose 'array' or 'object'"
-            )
+        # Resource limits: None is unlimited, so 0 must not mean it too.
+        if self.work_budget is not None and self.work_budget < 1:
+            raise OptionsError("work_budget must be positive or None")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise OptionsError("time_limit must be non-negative or None")
         if self.bdd_sift_threshold is not None and self.bdd_sift_threshold < 1:
             raise OptionsError("bdd_sift_threshold must be positive or None")
         if self.max_exact_paths < 1:
@@ -333,7 +326,7 @@ def minimum_cycle_time(
     deadline = Deadline.after(options.time_limit)
     budget = (
         Budget(limit=options.work_budget, resource="mct work")
-        if options.work_budget
+        if options.work_budget is not None
         else None
     )
     try:
@@ -723,7 +716,7 @@ class _Sweep:
             rung = self.rungs[idx]
             if idx == 0:
                 budget = self.budget
-            elif self.options.work_budget:
+            elif self.options.work_budget is not None:
                 budget = Budget(
                     limit=self.options.work_budget,
                     resource=f"mct work[{rung.name}]",
@@ -738,7 +731,6 @@ class _Sweep:
                 budget=budget,
                 max_failing_options=self.options.max_failing_options,
                 deadline=self.deadline,
-                kernel=self.options.bdd_kernel,
                 sift_threshold=self.options.bdd_sift_threshold,
             )
             self.contexts[idx] = context

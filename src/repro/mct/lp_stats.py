@@ -8,8 +8,8 @@ same three ways as :class:`repro.bdd.BddStats`:
 * ``oracle.stats`` — live counters of one oracle;
 * :attr:`repro.mct.engine.MctResult.lp_stats` — the merged counters of
   every decision context a τ-sweep used;
-* ``repro-mct analyze --stats`` / ``BENCH_mct.json`` — the operator
-  and benchmark views.
+* ``repro-mct analyze --stats`` and perfbench's traced counters — the
+  operator and benchmark views.
 
 The accounting identity enforced by the branch-and-bound loop is
 
@@ -17,8 +17,8 @@ The accounting identity enforced by the branch-and-bound loop is
 
 for every ``sup_tau_options`` call: each enumerated σ is solved,
 skipped by the interval prescreen, or pruned by the descending-order
-bound — never double-counted, never dropped.  The bench gate in
-``benchmarks/test_perf_baseline.py`` leans on exactly this.
+bound — never double-counted, never dropped.  The exact counter pins
+in ``tests/test_lp_branch_bound.py`` lean on exactly this.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ class LpStats:
     #: cache instead of being rebuilt.
     skeleton_hits: int = 0
     #: Always 0: survivor lists are no longer split across worker
-    #: processes.  Kept so the ``as_dict`` key set (read by the
-    #: benchmark tooling and stored in ``BENCH_mct.json``) and older
+    #: processes.  Kept so the ``as_dict`` key set and older
     #: checkpoint payloads that carry the key stay unchanged.
     shard_dispatches: int = 0
     #: Wall-clock seconds spent inside LP solves.
@@ -76,7 +75,7 @@ class LpStats:
         return cls(**kwargs)
 
     def as_dict(self) -> dict:
-        """JSON-ready view (the ``BENCH_mct.json`` ``lp`` object)."""
+        """JSON-ready view (checkpoints and the window-pool wire)."""
         return {
             "solves": self.solves,
             "prescreen_skips": self.prescreen_skips,

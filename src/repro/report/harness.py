@@ -57,8 +57,8 @@ class TableRow:
     paper: dict | None = None  # the original row's published numbers
     mct_rung: str = "exact"  # degradation-ladder rung of the MCT bound
     #: BDD-engine counters of the MCT sweep (``BddStats.as_dict()``);
-    #: not rendered in the paper table, but carried for perf tooling
-    #: (``BENCH_mct.json``) and ``--stats`` output.
+    #: not rendered in the paper table, but merged into the per-worker
+    #: counters of sharded runs.
     bdd_stats: dict | None = None
 
     def cells(self, with_cpu: bool = True) -> list[str]:

@@ -107,6 +107,13 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_number(value) -> float:
+    """Only a JSON number: no bool, and no numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 #: ``options`` keys a submission may set, mapped to their coercion.
 _OPTION_FIELDS = {
     "check_outputs": _json_bool,
@@ -116,10 +123,9 @@ _OPTION_FIELDS = {
     "max_candidates": _json_int,
     "max_failing_options": _json_int,
     "work_budget": _json_int,
-    "time_limit": float,
+    "time_limit": _json_number,
     "tau_floor": as_fraction,
     "degrade": _json_bool,
-    "bdd_kernel": str,
     "bdd_sift_threshold": _json_int,
 }
 

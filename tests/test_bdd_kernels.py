@@ -5,18 +5,23 @@ cache keys) must be observationally identical to the historical
 object kernel behind the :class:`~repro.bdd.Function` API: same truth
 tables, same ``sat_count``, same sweep bounds and candidate verdicts.
 These tests pin that equivalence on random formula DAGs (hypothesis)
-and on the paper's Example 2 plus a benchgen suite circuit, in serial
-and on the process pool.  The cache-discipline regressions for the
-NOT cache bound and the recency-aware ITE eviction live here too.
+and on 22 whole sweeps (Example 2, two exact-LP interval banks and
+every benchgen suite row), where the array kernel's bound and exact
+ITE work are pinned too.  Sweeps reach the object kernel only through
+:func:`repro.bdd.set_default_kernel`.  The cache-discipline regressions
+for the NOT cache bound and the recency-aware ITE eviction live here
+too.
 """
 
+import contextlib
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from repro.bdd import BddManager, transfer
-from repro.benchgen import build_case, paper_example2, suite_cases
+from repro.bdd import BddManager, set_default_kernel, transfer
+from repro.benchgen import build_case, interval_bank, paper_example2, suite_cases
 from repro.mct import MctOptions, minimum_cycle_time
 
 from tests.test_bdd_properties import (
@@ -201,9 +206,95 @@ def _candidate_keys(result):
     return [(c.tau, c.status, c.m, c.rung) for c in result.candidates]
 
 
-def _sweep(circuit, delays, kernel, *, jobs=1, **extra):
-    options = MctOptions(bdd_kernel=kernel, **extra)
-    return minimum_cycle_time(circuit, delays, options, jobs=jobs)
+@contextlib.contextmanager
+def default_kernel(name):
+    """Run the enclosed sweeps' decision contexts on kernel ``name``."""
+    previous = set_default_kernel(name)
+    try:
+        yield
+    finally:
+        set_default_kernel(previous)
+
+
+def _sweep(circuit, delays, kernel, **extra):
+    with default_kernel(kernel):
+        return minimum_cycle_time(circuit, delays, MctOptions(**extra))
+
+
+def comparison_cases():
+    """The kernel-comparison cases as ``(name, circuit, delays, kwargs)``.
+
+    Example 2 fixed and interval, two exact-LP interval banks past the
+    default 256-combination cap, and every benchgen suite row at widen 9/10
+    under its own MCT work budget.
+    """
+    circuit, delays = paper_example2()
+    yield "example2", circuit, delays, {}
+    yield "example2-interval", circuit, delays.widen(Fraction(9, 10)), {}
+    exact = {"exact_feasibility": True, "max_exact_combinations": 1024}
+    circuit, delays = interval_bank(9, mix=("xor", "and", "or"), name="ivbank9")
+    yield "ivbank9-exact", circuit, delays, exact
+    circuit, delays = interval_bank(10, mix=("or", "xor", "and"), name="ivbank10")
+    yield "ivbank10-exact", circuit, delays, exact
+    for case in suite_cases():
+        circuit, delays = build_case(case)
+        yield (
+            f"benchgen/{case.name}",
+            circuit,
+            delays.widen(Fraction(9, 10)),
+            {"work_budget": case.mct_budget},
+        )
+
+
+#: Array-kernel ``(bound, ite_calls)`` of every comparison case.  The
+#: work count is deterministic, so any change is an algorithmic change
+#: to the BDD engine or the sweep.  g9234 and g38417 exhaust their
+#: budget while collecting paths, before any decision context exists.
+ARRAY_PINS = {
+    "example2": (Fraction(5, 2), 190),
+    "example2-interval": (Fraction(5, 2), 322),
+    "ivbank9-exact": (Fraction(21, 5), 448),
+    "ivbank10-exact": (Fraction(21, 5), 496),
+    "benchgen/g444": (Fraction(114, 5), 312),
+    "benchgen/g526": (Fraction(92, 5), 623),
+    "benchgen/g526n": (Fraction(94, 5), 623),
+    "benchgen/g641": (Fraction(85, 2), 621),
+    "benchgen/g713": (Fraction(217, 5), 621),
+    "benchgen/g820": (Fraction(279, 10), 478),
+    "benchgen/g832": (Fraction(144, 5), 478),
+    "benchgen/g953": (Fraction(141, 5), 478),
+    "benchgen/g1196": (Fraction(179, 5), 621),
+    "benchgen/g1238": (Fraction(41), 621),
+    "benchgen/g1423": (Fraction(599, 5), 808),
+    "benchgen/g1494": (Fraction(181, 5), 808),
+    "benchgen/g5378": (Fraction(42), 1260),
+    "benchgen/g9234": (None, None),
+    "benchgen/g15850": (Fraction(636, 5), 1866),
+    "benchgen/g35932": (Fraction(4363, 10), 886),
+    "benchgen/g38417": (None, None),
+    "benchgen/g38584": (Fraction(82), 8545),
+}
+
+#: A case is ITE-heavy when the object-kernel sweep examined at least
+#: this many ITE subproblems.
+ITE_HEAVY_FLOOR = 300
+
+#: Per-case wall ceiling (seconds) of the array sweep: the real
+#: numbers are ~100x smaller, so tripping it is a pathology, not jitter.
+CASE_WALL_CEILING = 30.0
+
+
+@pytest.fixture(scope="module")
+def comparison():
+    """Every comparison case swept on both kernels, by case name."""
+    runs = {}
+    for name, circuit, delays, kwargs in comparison_cases():
+        t0 = time.monotonic()
+        array = _sweep(circuit, delays, "array", **kwargs)
+        wall = time.monotonic() - t0
+        obj = _sweep(circuit, delays, "object", **kwargs)
+        runs[name] = (array, wall, obj)
+    return runs
 
 
 class TestSweepIdentity:
@@ -221,51 +312,72 @@ class TestSweepIdentity:
 
     def test_example2_parallel_pool(self):
         circuit, delays = paper_example2()
-        serial = _sweep(circuit, delays, "array")
-        for kernel in ("array", "object"):
-            pooled = _sweep(circuit, delays, kernel, jobs=2)
-            assert pooled.mct_upper_bound == serial.mct_upper_bound
-            assert pooled.failing_window == serial.failing_window
-            assert _candidate_keys(pooled) == _candidate_keys(serial)
+        serial = minimum_cycle_time(circuit, delays)
+        pooled = minimum_cycle_time(circuit, delays, jobs=2)
+        assert pooled.mct_upper_bound == serial.mct_upper_bound
+        assert pooled.failing_window == serial.failing_window
+        assert _candidate_keys(pooled) == _candidate_keys(serial)
 
     def test_example2_cluster(self):
-        """Both kernels land on the serial verdicts over a loopback
-        cluster (the ``--workers`` path: state pickled to socket
-        workers, results merged by the lease scheduler)."""
+        """A loopback cluster lands on the serial verdicts (the
+        ``--workers`` path: state pickled to socket workers, results
+        merged by the lease scheduler)."""
+        from repro.parallel import WorkerServer
+
         from tests.test_cluster import CLUSTER_OPTS, fleet
 
         circuit, delays = paper_example2()
-        serial = _sweep(circuit, delays, "array")
-        for kernel in ("array", "object"):
-            from repro.parallel import WorkerServer
+        serial = minimum_cycle_time(circuit, delays)
+        with fleet(WorkerServer(), WorkerServer()) as transport:
+            clustered = minimum_cycle_time(
+                circuit,
+                delays,
+                MctOptions(**CLUSTER_OPTS),
+                transport=transport,
+            )
+        assert clustered.mct_upper_bound == serial.mct_upper_bound
+        assert clustered.failing_window == serial.failing_window
+        assert _candidate_keys(clustered) == _candidate_keys(serial)
 
-            with fleet(WorkerServer(), WorkerServer()) as transport:
-                clustered = minimum_cycle_time(
-                    circuit,
-                    delays,
-                    MctOptions(bdd_kernel=kernel, **CLUSTER_OPTS),
-                    transport=transport,
-                )
-            assert clustered.mct_upper_bound == serial.mct_upper_bound
-            assert clustered.failing_window == serial.failing_window
-            assert _candidate_keys(clustered) == _candidate_keys(serial)
+    def test_suite_case_bounds_match(self, comparison):
+        assert set(comparison) == set(ARRAY_PINS)
+        for name, (array, _, obj) in comparison.items():
+            assert array.mct_upper_bound == obj.mct_upper_bound, name
+            assert array.failing_window == obj.failing_window, name
+            assert _candidate_keys(array) == _candidate_keys(obj), name
 
-    def test_suite_case_bounds_match(self):
-        case = next(c for c in suite_cases() if c.name == "g444")
-        circuit, delays = build_case(case)
-        array = _sweep(circuit, delays, "array")
-        obj = _sweep(circuit, delays, "object")
-        assert array.mct_upper_bound == obj.mct_upper_bound
-        assert array.failing_window == obj.failing_window
-        assert _candidate_keys(array) == _candidate_keys(obj)
+    def test_array_kernel_wins_every_ite_heavy_case(self, comparison):
+        """Complement edges never cost ITE work and always save nodes."""
+        heavy = [
+            (name, array.bdd_stats, obj.bdd_stats)
+            for name, (array, _, obj) in comparison.items()
+            if obj.bdd_stats is not None
+            and obj.bdd_stats.ite_calls >= ITE_HEAVY_FLOOR
+        ]
+        # A benchgen shrinkage that leaves nothing ITE-heavy would
+        # silently disable this guard.
+        assert len(heavy) >= 5
+        for name, array, obj in heavy:
+            assert array.ite_calls <= obj.ite_calls, name
+            assert array.nodes_created < obj.nodes_created, name
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_PINS))
+    def test_array_bound_and_work_pinned(self, comparison, name):
+        array, wall, _ = comparison[name]
+        bound, ite_calls = ARRAY_PINS[name]
+        assert array.mct_upper_bound == bound
+        stats = array.bdd_stats
+        assert (None if stats is None else stats.ite_calls) == ite_calls
+        assert stats is None or stats.peak_nodes > 0
+        assert wall < CASE_WALL_CEILING
 
     def test_sifting_mid_sweep_preserves_bound(self):
         """A tiny sift threshold forces reorders mid-sweep; the bound
         and verdict sequence must not move."""
         circuit, delays = paper_example2()
-        plain = _sweep(circuit, delays, "array")
-        sifted = _sweep(
-            circuit, delays, "array", bdd_sift_threshold=1
+        plain = minimum_cycle_time(circuit, delays)
+        sifted = minimum_cycle_time(
+            circuit, delays, MctOptions(bdd_sift_threshold=1)
         )
         assert sifted.mct_upper_bound == plain.mct_upper_bound
         assert sifted.failing_window == plain.failing_window
@@ -288,14 +400,4 @@ class TestKernelSelection:
         from repro.errors import OptionsError
 
         with pytest.raises(OptionsError):
-            MctOptions(bdd_kernel="quantum")
-        with pytest.raises(OptionsError):
             MctOptions(bdd_sift_threshold=0)
-
-    def test_kernel_not_in_fingerprint(self):
-        """Representation knobs must not split checkpoint identity."""
-        from repro.mct.engine import _fingerprint
-
-        a = _fingerprint(MctOptions(bdd_kernel="array"))
-        b = _fingerprint(MctOptions(bdd_kernel="object"))
-        assert a == b

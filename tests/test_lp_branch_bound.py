@@ -186,6 +186,34 @@ class TestBranchAndBound:
         stats = result.lp_stats
         assert stats.solves + stats.prescreen_skips + stats.bound_prunes == 16
 
+    @pytest.mark.parametrize(
+        "n_holds, mix, bound_prunes",
+        [
+            (9, ("xor", "and", "or"), 511),
+            (10, ("or", "xor", "and"), 1023),
+        ],
+    )
+    def test_engine_sweep_solves_one_lp_past_the_default_cap(
+        self, n_holds, mix, bound_prunes
+    ):
+        """Banks of 2**9 and 2**10 age combinations, past the default
+        256-combination cap: the first LP's supremum meets the window
+        top, so every other combination is bound-pruned unsolved."""
+        circuit, delays = interval_bank(
+            n_holds, mix=mix, name=f"ivbank{n_holds}"
+        )
+        result = minimum_cycle_time(
+            circuit,
+            delays,
+            MctOptions(exact_feasibility=True, max_exact_combinations=1024),
+        )
+        assert result.mct_upper_bound == Fraction(21, 5)
+        assert result.failure_found
+        stats = result.lp_stats
+        assert stats.solves == 1
+        assert stats.prescreen_skips == 0
+        assert stats.bound_prunes == bound_prunes
+
 
 # ----------------------------------------------------------------------
 # Satellite: randomized differential against the blind loop
@@ -438,6 +466,10 @@ class TestKnobs:
             {"degraded_max_age": 0},
             {"max_candidates": 0},
             {"max_candidates": -1},
+            {"work_budget": 0},
+            {"work_budget": -5},
+            {"time_limit": -1},
+            {"time_limit": float("nan")},
         ],
     )
     def test_non_positive_knobs_rejected(self, kwargs):
@@ -484,6 +516,7 @@ class TestKnobs:
         for flags in (
             ["--max-exact-paths", "0"],
             ["--max-exact-combos", "-1"],
+            ["--budget", "-3"],
         ):
             assert main(["analyze", str(path)] + flags) == 1
             assert "must be positive" in capsys.readouterr().err

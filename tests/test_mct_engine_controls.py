@@ -112,10 +112,12 @@ class TestControls:
 
     def test_budget_none_vs_zero(self):
         circuit, delays = fig2_circuit()
-        # work_budget=None is unlimited; 0 is falsy and also unlimited.
+        # work_budget=None is unlimited; 0 is rejected, not a second
+        # spelling of unlimited.
         a = minimum_cycle_time(circuit, delays, MctOptions(work_budget=None))
-        b = minimum_cycle_time(circuit, delays, MctOptions(work_budget=0))
-        assert a.mct_upper_bound == b.mct_upper_bound == Fraction(5, 2)
+        assert a.mct_upper_bound == Fraction(5, 2)
+        with pytest.raises(OptionsError, match="work_budget"):
+            MctOptions(work_budget=0)
 
 
 def _set_event():

@@ -198,18 +198,23 @@ class TestSuiteSharding:
         )
 
     def test_rows_match_serial_order_and_values(self):
+        """The full suite plus s27, serial vs two workers: identical
+        rows, every row measured by exactly one worker, and each
+        worker's counters carrying the full ``BddStats`` key set."""
+        from repro.bdd import BddStats
         from repro.report.harness import run_suite
 
-        cases = [c for c in suite_cases() if c.name in ("g444", "g526")]
-        serial = run_suite(cases=cases, include_s27=True)
-        rows, workers = run_suite_sharded(
-            cases=cases, include_s27=True, jobs=2
-        )
+        serial = run_suite(include_s27=True)
+        rows, workers = run_suite_sharded(include_s27=True, jobs=2)
+        assert len(rows) == len(suite_cases()) + 1
         assert [self.row_key(r) for r in rows] == [
             self.row_key(r) for r in serial
         ]
         assert sum(w.tasks for w in workers) == len(rows)
         assert all(w.wall_seconds >= 0 for w in workers)
+        bdd_keys = set(BddStats().as_dict())
+        for worker in workers:
+            assert set(worker.as_dict()["bdd"]) == bdd_keys
 
     def test_serial_fallback_reports_no_workers(self):
         cases = [c for c in suite_cases() if c.name == "g444"]

@@ -157,9 +157,15 @@ class TestJobSpec:
             {**EXAMPLE2, "delays": {"model": "fanout"}},
             {**EXAMPLE2, "unknown": 1},
             {**EXAMPLE2, "delays": {"widen": "zero/none"}},
-            {**EXAMPLE2, "options": {"bdd_kernel": "quantum"}},
+            # The retired kernel key is unknown, even at its old default.
+            {**EXAMPLE2, "options": {"bdd_kernel": "array"}},
             {**EXAMPLE2, "options": {"nope": 1}},
             {**EXAMPLE2, "options": {"max_age": "many"}},
+            # Resource limits are JSON numbers, and never negative.
+            {**EXAMPLE2, "options": {"time_limit": "5"}},
+            {**EXAMPLE2, "options": {"time_limit": True}},
+            {**EXAMPLE2, "options": {"time_limit": -1}},
+            {**EXAMPLE2, "options": {"work_budget": -5}},
         ],
     )
     def test_defects_raise_options_error(self, data):
@@ -887,13 +893,18 @@ class TestHttpHygiene:
             json.dumps({"circuit": {"kind": "nope", "source": "x"}}).encode(),
             json.dumps({"circuit": {"kind": "bench",
                                     "source": "NOT A NETLIST("}}).encode(),
-            json.dumps({**EXAMPLE2, "options": {"bdd_kernel": "bad"}}).encode(),
+            # The retired kernel key is unknown, even at its old default.
+            json.dumps({**EXAMPLE2, "options": {"bdd_kernel": "array"}}).encode(),
             # Typed options are strict: no truthy strings, no truncation.
             json.dumps({**EXAMPLE2, "options": {"check_outputs": "false"}}).encode(),
             json.dumps({**EXAMPLE2, "options": {"exact_feasibility": "no"}}).encode(),
             json.dumps({**EXAMPLE2, "options": {"max_age": 2.9}}).encode(),
             # A degenerate sweep cap fails at submit, not inside the job.
             json.dumps({**EXAMPLE2, "options": {"max_age": 0}}).encode(),
+            json.dumps({**EXAMPLE2, "options": {"time_limit": "5"}}).encode(),
+            json.dumps({**EXAMPLE2, "options": {"time_limit": True}}).encode(),
+            json.dumps({**EXAMPLE2, "options": {"time_limit": -1}}).encode(),
+            json.dumps({**EXAMPLE2, "options": {"work_budget": -5}}).encode(),
         ],
     )
     def test_malformed_submissions_get_400(self, body):
